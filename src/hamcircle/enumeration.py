@@ -4,9 +4,8 @@ An action on the k-fold blowup is reached from an action on the underlying
 ruled surface by k blowups of the prescribed sizes, largest first.  The
 enumeration therefore seeds a store with the ruled-surface graphs (one per
 admissible twist), applies one blowup stage per delta, and deduplicates up to
-vertical translation and flip after every stage.  Equivalent graphs share the
-(larger area, smaller area, chain count) key, so only one bucket is scanned
-per insertion.
+vertical translation and flip after every stage.  The store is a dict keyed by
+``class_key``, so an insertion is one lookup.
 
 Inputs with unsorted or defect-positive deltas are first brought to reduced
 form: the count only depends on the symplectomorphism class, and the staged
@@ -15,21 +14,13 @@ search is only correct for reduced vectors.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .blowups import all_blowups
 from .formulas import count_ruled
-from .graphs import (
-    DecoratedGraph,
-    FatVertex,
-    GraphKey,
-    are_equivalent,
-    canonical_sort_key,
-    graph_key,
-)
+from .graphs import DecoratedGraph, FatVertex, canonical_sort_key, class_key
 from .vectors import (
     BlowupVector,
     BundleType,
@@ -41,38 +32,30 @@ from .vectors import (
 
 
 class GraphStore:
-    """A keyed collection of pairwise-inequivalent decorated graphs.
+    """Pairwise-inequivalent decorated graphs: the first graph inserted of each class.
 
-    Iteration is deterministic: buckets in sorted key order, graphs in
-    insertion order within a bucket.
+    Iteration is in insertion order.
     """
 
     def __init__(self, graphs: Iterable[DecoratedGraph] = ()):
-        self._buckets: dict[GraphKey, list[DecoratedGraph]] = {}
-        self._count = 0
+        self._graphs: dict[tuple, DecoratedGraph] = {}
         for g in graphs:
             self.add_if_new(g)
 
     def add_if_new(self, graph: DecoratedGraph) -> bool:
         """Insert unless an equivalent graph is already stored; report insertion."""
-        bucket = self._buckets.setdefault(graph_key(graph), [])
-        for stored in bucket:
-            if are_equivalent(stored, graph):
-                return False
-        bucket.append(graph)
-        self._count += 1
-        return True
+        before = len(self._graphs)
+        self._graphs.setdefault(class_key(graph), graph)
+        return len(self._graphs) > before
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._graphs)
 
     def __iter__(self) -> Iterator[DecoratedGraph]:
-        for key in sorted(self._buckets):
-            yield from self._buckets[key]
+        return iter(self._graphs.values())
 
     def __contains__(self, graph: DecoratedGraph) -> bool:
-        bucket = self._buckets.get(graph_key(graph), [])
-        return any(are_equivalent(stored, graph) for stored in bucket)
+        return class_key(graph) in self._graphs
 
 
 def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -> list[int]:
@@ -108,26 +91,17 @@ def initial_graphs(
     ]
 
 
-def blowup_stage(store: GraphStore, delta: Fraction, jobs: int = 1) -> GraphStore:
+def blowup_stage(store: GraphStore, delta: Fraction) -> GraphStore:
     """One stage: every valid blowup of size delta of every stored graph, deduplicated.
 
-    Returns a fresh store; the input is untouched.  With jobs > 1 the blowups
-    of the source graphs are computed in parallel while insertions stay
-    serialized in source order, so the result is identical to the
-    single-threaded run.
+    Returns a fresh store; the input is untouched.
     """
     delta = as_q(delta)
     if delta <= 0:
         raise ValueError("blowup size must be positive")
-    sources = list(store)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(lambda g: all_blowups(g, delta), sources))
-    else:
-        batches = [all_blowups(g, delta) for g in sources]
     result = GraphStore()
-    for batch in batches:
-        for graph in batch:
+    for source in store:
+        for graph in all_blowups(source, delta):
             result.add_if_new(graph)
     return result
 
@@ -159,7 +133,7 @@ def _prepare(v: BlowupVector) -> tuple[BlowupVector, bool]:
     return v, False
 
 
-def count_actions(v: BlowupVector, jobs: int = 1) -> CountReport:
+def count_actions(v: BlowupVector) -> CountReport:
     """Count the circle actions compatible with the blowup form encoded by ``v``.
 
     Rejects vectors outside the cone.  Non-reduced input (k >= 2) is reduced
@@ -175,14 +149,12 @@ def count_actions(v: BlowupVector, jobs: int = 1) -> CountReport:
     store = GraphStore(initial_graphs(reduced.lambda_f, reduced.lambda_b, reduced.bundle, reduced.genus))
     counts = [len(store)]
     for delta in reduced.deltas:
-        store = blowup_stage(store, delta, jobs=jobs)
+        store = blowup_stage(store, delta)
         counts.append(len(store))
     return CountReport(v, reduced, auto, twists, tuple(counts))
 
 
-def enumerate_actions(
-    v: BlowupVector, jobs: int = 1
-) -> tuple[list[DecoratedGraph], CountReport]:
+def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountReport]:
     """Like ``count_actions`` but returning the graphs in canonical order.
 
     For k = 0 the ruled-surface graphs themselves are materialized.
@@ -192,7 +164,7 @@ def enumerate_actions(
     store = GraphStore(initial_graphs(reduced.lambda_f, reduced.lambda_b, reduced.bundle, reduced.genus))
     counts = [len(store)]
     for delta in reduced.deltas:
-        store = blowup_stage(store, delta, jobs=jobs)
+        store = blowup_stage(store, delta)
         counts.append(len(store))
     graphs = sorted(store, key=canonical_sort_key)
     return graphs, CountReport(v, reduced, auto, twists, tuple(counts))

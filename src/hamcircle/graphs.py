@@ -12,10 +12,10 @@ orders of the gradient spheres; the edges touching a fat vertex always carry
 label 1 and are not stored.  Chains are compared lexicographically letter by
 letter, either from the start (heights measured from the bottom) or from the
 end (heights replaced by their distance from the top); a chain that is a
-strict prefix of another sorts first.  Two graphs are equivalent when they
-agree node for node in start order, or when one agrees with the other's flip,
-which is decided by matching start order against end order under the height
-complement.
+strict prefix of another sorts first.  A graph keeps its chains in start
+order, so dataclass equality is node-for-node equality.  Each equivalence
+class has one hashable key, the smaller of the graph's own form and the form
+of its flip, so equivalence is key equality.
 
 Distinct chains may contain vertices at equal heights; this really happens,
 e.g. after two half-fiber blowups from opposite fat vertices.
@@ -28,7 +28,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .vectors import as_q, qstr
 
@@ -74,18 +73,6 @@ class Chain:
         )
 
 
-def compare_by_start(a: Chain, b: Chain) -> int:
-    """Lexicographic order on chains read from the bottom: -1, 0 or 1."""
-    ka, kb = a.start_key(), b.start_key()
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
-def compare_by_end(a: Chain, b: Chain, height: Fraction) -> int:
-    """Lexicographic order on chains read from the top; equals the start order after a flip."""
-    ka, kb = a.end_key(height), b.end_key(height)
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
 @dataclass(frozen=True)
 class FatVertex:
     """A fixed surface at a moment extremum: area label and genus."""
@@ -99,48 +86,35 @@ class FatVertex:
             raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
 
 
-class GraphKey(NamedTuple):
-    """Dedup key: the larger fat area first, then the smaller, then the chain count."""
-
-    area_big: Fraction
-    area_small: Fraction
-    chain_count: int
-
-
 @dataclass(frozen=True)
 class DecoratedGraph:
     """Two fat vertices at heights 0 and ``height`` plus the chains between them.
 
-    ``by_start`` and ``by_end`` are the chain indices in the two sort orders;
-    they are derived from the chains when not supplied.
+    The chains are stored in start order whatever order they are given in.
     """
 
     bottom: FatVertex
     top: FatVertex
     height: Fraction
     chains: tuple[Chain, ...] = ()
-    by_start: tuple[int, ...] | None = None
-    by_end: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "height", as_q(self.height))
-        object.__setattr__(self, "chains", tuple(self.chains))
-        if self.by_start is None:
-            order = sorted(range(len(self.chains)), key=lambda i: self.chains[i].start_key())
-            object.__setattr__(self, "by_start", tuple(order))
-        else:
-            object.__setattr__(self, "by_start", tuple(self.by_start))
-        if self.by_end is None:
-            order = sorted(range(len(self.chains)), key=lambda i: self.chains[i].end_key(self.height))
-            object.__setattr__(self, "by_end", tuple(order))
-        else:
-            object.__setattr__(self, "by_end", tuple(self.by_end))
+        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=Chain.start_key)))
 
 
-def graph_key(g: DecoratedGraph) -> GraphKey:
-    hi = max(g.bottom.area, g.top.area)
-    lo = min(g.bottom.area, g.top.area)
-    return GraphKey(hi, lo, len(g.chains))
+def class_key(g: DecoratedGraph) -> tuple:
+    """The same tuple for two graphs exactly when they agree up to the flip.
+
+    The smaller of the graph's own form (bottom area, top area, height, chain
+    start keys) and its flip's form (top area, bottom area, height, sorted
+    chain end keys); the flipped graph itself is never built.
+    """
+    bottom, top, height = g.bottom.area, g.top.area, g.height
+    own = (bottom, top, height, tuple(c.start_key() for c in g.chains))
+    if bottom < top:
+        return own
+    return min(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
 
 
 @dataclass(frozen=True)
@@ -154,20 +128,13 @@ class GraphReport:
         return self.valid
 
 
-def _order_consistent(keys: list, perm: tuple[int, ...]) -> bool:
-    if sorted(perm) != list(range(len(keys))):
-        return False
-    ordered = [keys[i] for i in perm]
-    return all(ordered[i] <= ordered[i + 1] for i in range(len(ordered) - 1))
-
-
 def validate(g: DecoratedGraph) -> GraphReport:
     """Check every structural invariant of a decorated graph.
 
     Positive height and fat areas, matching genera, labels >= 1, strictly
     increasing chain heights strictly between the fat vertices, coprime
     adjacent labels at every interior vertex (counting the implicit 1s at the
-    chain ends), and sort permutations consistent with the chain orders.
+    chain ends).
     """
     bad: list[str] = []
     if g.height <= 0:
@@ -193,12 +160,6 @@ def validate(g: DecoratedGraph) -> GraphReport:
             above = chain.labels[vi] if vi < len(chain.labels) else 1
             if math.gcd(below, above) != 1:
                 bad.append(f"chain_{ci}_vertex_{vi}_labels_coprime")
-    start_keys = [c.start_key() for c in g.chains]
-    end_keys = [c.end_key(g.height) for c in g.chains]
-    if not _order_consistent(start_keys, g.by_start):
-        bad.append("by_start_consistent")
-    if not _order_consistent(end_keys, g.by_end):
-        bad.append("by_end_consistent")
     return GraphReport(not bad, tuple(bad))
 
 
@@ -215,58 +176,9 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     )
 
 
-def _require_same_key(g1: DecoratedGraph, g2: DecoratedGraph) -> None:
-    k1, k2 = graph_key(g1), graph_key(g2)
-    if k1 != k2:
-        raise ValueError(f"graphs have different keys: {k1} vs {k2}")
-
-
-def are_same(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """Node-for-node equality of the start-sorted chains, same orientation."""
-    _require_same_key(g1, g2)
-    if g1.height != g2.height:
-        return False
-    if g1.bottom.area != g2.bottom.area or g1.top.area != g2.top.area:
-        return False
-    return all(g1.chains[i] == g2.chains[j] for i, j in zip(g1.by_start, g2.by_start))
-
-
-def are_reflection(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """True when g2 is the flip of g1.
-
-    Matches g1 in start order against g2 in end order: labels must agree with
-    g2's read backwards, and every height must equal the graph height minus
-    the corresponding one.
-    """
-    _require_same_key(g1, g2)
-    if g1.height != g2.height:
-        return False
-    if g1.bottom.area != g2.top.area or g1.top.area != g2.bottom.area:
-        return False
-    h = g1.height
-    for i, j in zip(g1.by_start, g2.by_end):
-        a, b = g1.chains[i], g2.chains[j]
-        if a.labels != tuple(reversed(b.labels)):
-            return False
-        if a.heights != tuple(h - x for x in reversed(b.heights)):
-            return False
-    return True
-
-
 def are_equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """Equality up to vertical translation and flip; total on valid graphs.
-
-    Key or height mismatch simply answers False.  When the fat areas of g1
-    coincide, both orientations must be tried; otherwise the bottom areas
-    determine which single test can succeed.
-    """
-    if g1.height != g2.height or graph_key(g1) != graph_key(g2):
-        return False
-    if g1.bottom.area == g1.top.area:
-        return are_same(g1, g2) or are_reflection(g1, g2)
-    if g1.bottom.area == g2.bottom.area:
-        return are_same(g1, g2)
-    return are_reflection(g1, g2)
+    """Equality up to vertical translation and flip; total on valid graphs."""
+    return class_key(g1) == class_key(g2)
 
 
 def canonical_sort_key(g: DecoratedGraph) -> tuple:
@@ -276,22 +188,20 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
         g.bottom.area,
         g.top.area,
         len(g.chains),
-        tuple(g.chains[i].start_key() for i in g.by_start),
+        tuple(c.start_key() for c in g.chains),
     )
 
 
 # --- canonical JSON form ---------------------------------------------------
 #
-# Two graphs serialize to the same bytes exactly when are_same holds (and the
-# genera agree; the genus travels through serialization but plays no role in
-# equivalence).
+# Two graphs serialize to the same bytes exactly when they are equal, genus
+# included; the genus plays no role in equivalence.
 
 
 def to_json_dict(g: DecoratedGraph) -> dict:
     """Canonical JSON object: rationals as strings, chains in start order."""
     chains = []
-    for i in g.by_start:
-        chain = g.chains[i]
+    for chain in g.chains:
         seq: list = [qstr(chain.heights[0])]
         for label, h in zip(chain.labels, chain.heights[1:]):
             seq.append(label)

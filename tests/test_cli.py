@@ -11,6 +11,7 @@ from hamcircle.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_SCALAR_DIGITS,
     format_vector,
     main,
     parse_vector,
@@ -77,6 +78,25 @@ def test_parse_failure_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "-v", "bogus")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("scalar", ["1e5000", "1e100000", "9" * 5000])
+def test_huge_scalar_is_a_usage_error(capsys, scalar):
+    code, out, err = run(capsys, "check", "-v", f"{scalar},1;1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: scalar") and len(err) < 200
+
+
+def test_scalar_limits_are_inclusive():
+    big = parse_vector(f"{'9' * MAX_SCALAR_DIGITS},1e{MAX_SCALAR_DIGITS};1e-{MAX_SCALAR_DIGITS}")
+    assert big.lambda_f == 10**MAX_SCALAR_DIGITS - 1
+    assert big.lambda_b == 10**MAX_SCALAR_DIGITS
+    assert big.deltas == (F(1, 10**MAX_SCALAR_DIGITS),)
+    with pytest.raises(ValueError, match="digits"):
+        parse_vector(f"{'9' * (MAX_SCALAR_DIGITS + 1)},1")
+    with pytest.raises(ValueError, match="exponent"):
+        parse_vector(f"1e{MAX_SCALAR_DIGITS + 1},1")
 
 
 # --- reduce ------------------------------------------------------------------------
@@ -175,13 +195,6 @@ def test_count_crosscheck_not_applicable_is_fine(capsys):
 def test_genus_flag_must_be_positive(capsys):
     code, _, err = run(capsys, "count", "-v", "1,1;1/4", "-g", "0")
     assert code == EXIT_USAGE and "genus" in err
-
-
-def test_count_jobs_flag_gives_the_same_answer(capsys):
-    code1, out1, _ = run(capsys, "count", "-v", "1,2;1/4,1/16,1/64", "--format", "json")
-    code2, out2, _ = run(capsys, "count", "-v", "1,2;1/4,1/16,1/64", "--format", "json", "--jobs", "4")
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2
 
 
 # --- enumerate -----------------------------------------------------------------------

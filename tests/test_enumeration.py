@@ -54,6 +54,7 @@ def test_add_if_new_rejects_duplicates():
     store = GraphStore()
     g = graph("3/4", 1, 1, (("1/4",), ()))
     assert store.add_if_new(g)
+    assert not store.add_if_new(g)
     assert not store.add_if_new(graph("3/4", 1, 1, (("1/4",), ())))
     assert len(store) == 1
 
@@ -237,9 +238,6 @@ def test_runs_are_deterministic_and_parallel_safe(v):
     second_graphs, second = enumerate_actions(v)
     assert first == second
     assert [canonical_json(g) for g in first_graphs] == [canonical_json(g) for g in second_graphs]
-    threaded_graphs, threaded = enumerate_actions(v, jobs=3)
-    assert threaded == first
-    assert [canonical_json(g) for g in threaded_graphs] == [canonical_json(g) for g in first_graphs]
 
 
 def _naive_count(v):

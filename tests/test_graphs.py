@@ -10,16 +10,11 @@ from hamcircle import (
     Chain,
     DecoratedGraph,
     FatVertex,
-    GraphKey,
     are_equivalent,
-    are_reflection,
-    are_same,
     canonical_json,
-    compare_by_end,
-    compare_by_start,
+    class_key,
     flip,
     graph_from_json_dict,
-    graph_key,
     to_json_dict,
     validate,
 )
@@ -43,39 +38,41 @@ ONE_CHAIN = graph("3/4", 1, 1, (("1/4",), ()))
 
 
 # --- chain orders -------------------------------------------------------------
+#
+# A graph stores its chains in start order; the end order is the start order
+# of the flip.
 
 
 def test_compare_by_start_orders_by_first_height():
-    assert compare_by_start(chain("1/16"), chain("1/4")) == -1
-    assert compare_by_start(chain("1/4"), chain("1/16")) == 1
+    assert graph(1, 1, 1, (("1/4",), ()), (("1/16",), ())).chains == (chain("1/16"), chain("1/4"))
 
 
 def test_compare_by_start_equal_chains():
     a = chain("3/16", "5/16", labels=(2,))
-    b = chain("3/16", "5/16", labels=(2,))
-    assert compare_by_start(a, b) == 0
+    g = graph(1, 1, 1, (("3/16", "5/16"), (2,)), (("3/16", "5/16"), (2,)))
+    assert g.chains == (a, a)
 
 
 def test_compare_by_start_prefix_sorts_first():
     shorter = chain("1/4")
     longer = chain("1/4", "1/2", labels=(1,))
-    assert compare_by_start(shorter, longer) == -1
-    assert compare_by_start(longer, shorter) == 1
+    assert DecoratedGraph(FatVertex(1), FatVertex(1), F(1), (longer, shorter)).chains == (shorter, longer)
 
 
 def test_compare_by_end_uses_distance_from_top():
-    # distances from the top are 1/16 and 3/4, so the high chain sorts first
-    assert compare_by_end(chain("15/16"), chain("1/4"), F(1)) == -1
+    # distances from the top are 1/16 and 3/4, so the high chain comes first after a flip
+    g = graph(1, 1, 1, (("1/4",), ()), (("15/16",), ()))
+    assert flip(g).chains == (chain("1/16"), chain("3/4"))
 
 
 def test_by_end_is_by_start_of_the_flip():
     g = graph(1, 2, 1, (("1/4", "1/2"), (3,)), (("1/8",), ()), (("1/2",), ()))
-    assert g.by_end == flip(g).by_start
+    assert class_key(flip(g)) == class_key(g)
 
 
 @given(valid_graphs())
 def test_by_end_matches_flip_order_everywhere(g):
-    assert g.by_end == flip(g).by_start
+    assert class_key(flip(g)) == class_key(g)
 
 
 # --- flips and keys -----------------------------------------------------------
@@ -98,7 +95,7 @@ def test_flip_is_an_involution(g):
 def test_flip_preserves_key_validity_and_labels(g):
     flipped = flip(g)
     assert validate(flipped).valid
-    assert graph_key(flipped) == graph_key(g)
+    assert class_key(flipped) == class_key(g)
     assert len(flipped.chains) == len(g.chains)
     assert sorted(l for c in flipped.chains for l in c.labels) == sorted(
         l for c in g.chains for l in c.labels
@@ -112,8 +109,11 @@ def test_flip_rejects_invalid_graphs():
 
 
 def test_key_examples():
-    assert graph_key(graph(2, 4, 1, (("1/2",), ()))) == GraphKey(F(4), F(2), 1)
-    assert graph_key(RULED) == GraphKey(F(3), F(3), 0)
+    assert class_key(graph(2, 4, 1, (("1/2",), ()))) == (F(2), F(4), F(1), ((F(1, 2),),))
+    assert class_key(graph(4, 2, 1, (("1/4",), ()))) == (F(2), F(4), F(1), ((F(3, 4),),))
+    assert class_key(RULED) == (F(3), F(3), F(3), ())
+    # equal fat areas: the flip decides by the chains, here the lower one
+    assert class_key(graph(1, 1, 1, (("3/4",), ()))) == (F(1), F(1), F(1), ((F(1, 4),),))
 
 
 # --- validation ---------------------------------------------------------------
@@ -148,43 +148,37 @@ def test_validate_allows_equal_heights_across_chains():
     assert validate(g).valid
 
 
-def test_validate_rejects_inconsistent_permutations():
-    g = ONE_CHAIN
-    wrong = DecoratedGraph(g.bottom, g.top, g.height, g.chains, by_start=(1,), by_end=(0,))
-    assert "by_start_consistent" in validate(wrong).violations
-
-
 # --- equality and equivalence ---------------------------------------------------
 
 
 def test_are_same_on_a_copy():
     copy = DecoratedGraph(ONE_CHAIN.bottom, ONE_CHAIN.top, ONE_CHAIN.height, ONE_CHAIN.chains)
-    assert are_same(ONE_CHAIN, copy)
+    assert ONE_CHAIN == copy
 
 
 def test_are_same_sees_different_chains():
     other = graph("3/4", 1, 1, (("1/16",), ()))
-    assert not are_same(ONE_CHAIN, other)
+    assert ONE_CHAIN != other
 
 
 def test_are_same_ignores_chain_labelling_order():
     g1 = graph(1, 2, 1, (("1/4",), ()), (("1/2",), ()))
     g2 = permute_chains(g1, (1, 0))
-    assert are_same(g1, g2)
+    assert g1 == g2
 
 
 def test_are_same_requires_matching_keys():
-    with pytest.raises(ValueError, match="keys"):
-        are_same(RULED, ONE_CHAIN)
+    assert RULED != ONE_CHAIN
+    assert class_key(RULED) != class_key(ONE_CHAIN)
 
 
 def test_are_reflection_of_the_flip():
-    assert are_reflection(ONE_CHAIN, flip(ONE_CHAIN))
+    assert flip(flip(ONE_CHAIN)) == ONE_CHAIN
 
 
 def test_are_reflection_explicit_pair():
-    assert are_reflection(ONE_CHAIN, graph(1, "3/4", 1, (("3/4",), ())))
-    assert not are_reflection(ONE_CHAIN, graph(1, "3/4", 1, (("1/2",), ())))
+    assert flip(ONE_CHAIN) == graph(1, "3/4", 1, (("3/4",), ()))
+    assert flip(ONE_CHAIN) != graph(1, "3/4", 1, (("1/2",), ()))
 
 
 def test_are_equivalent_basics():
@@ -230,7 +224,9 @@ def test_equivalence_is_transitive(p1, p2):
 def test_equivalent_graphs_share_keys(pair):
     g1, g2 = pair
     if are_equivalent(g1, g2):
-        assert graph_key(g1) == graph_key(g2)
+        assert class_key(g1) == class_key(g2)
+        assert {g1.bottom.area, g1.top.area} == {g2.bottom.area, g2.top.area}
+        assert len(g1.chains) == len(g2.chains)
 
 
 @given(graph_pairs())
@@ -257,23 +253,17 @@ def test_json_dict_shape():
 @given(valid_graphs())
 def test_json_round_trip_preserves_the_graph(g):
     back = graph_from_json_dict(to_json_dict(g))
-    assert are_same(g, back)
-    assert back.bottom.genus == g.bottom.genus
+    assert back == g
     assert canonical_json(back) == canonical_json(g)
 
 
 @given(graph_pairs())
 def test_byte_equality_matches_are_same(pair):
     g1, g2 = pair
-    if g1.bottom.genus != g2.bottom.genus:
-        return
     same_bytes = canonical_json(g1) == canonical_json(g2)
-    if graph_key(g1) == graph_key(g2) and g1.bottom.area == g2.bottom.area:
-        assert same_bytes == (are_same(g1, g2) and g1.height == g2.height)
-    else:
-        assert not same_bytes
+    assert same_bytes == (g1 == g2 and g1.bottom.genus == g2.bottom.genus)
 
 
 def test_mirror_helper_agrees_with_flip():
     g = graph(1, 2, 1, (("1/4", "1/2"), (3,)), (("1/8",), ()))
-    assert are_same(mirror(g), flip(g))
+    assert mirror(g) == flip(g)
