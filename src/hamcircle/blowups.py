@@ -20,10 +20,8 @@ than an exception, so enumeration can prune branches cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
 
 from .graphs import Chain, DecoratedGraph, FatVertex
 from .vectors import Q, as_q
@@ -32,17 +30,6 @@ from .vectors import Q, as_q
 class FatSide(Enum):
     BOTTOM = "bottom"
     TOP = "top"
-
-
-@dataclass(frozen=True)
-class InteriorSite:
-    """An interior fixed point, addressed by chain index and vertex position."""
-
-    chain: int
-    vertex: int
-
-
-BlowupSite = Union[FatSide, InteriorSite]
 
 
 def _check_delta(delta: Fraction) -> Fraction:
@@ -101,30 +88,14 @@ def blowup_interior(
     return DecoratedGraph(g.bottom, g.top, g.height, chains)
 
 
-def sites(g: DecoratedGraph) -> Iterator[BlowupSite]:
-    """All candidate blowup sites: bottom fat, top fat, then interior vertices bottom-up."""
-    yield FatSide.BOTTOM
-    yield FatSide.TOP
-    for ci, chain in enumerate(g.chains):
-        for vi in range(len(chain.heights)):
-            yield InteriorSite(ci, vi)
-
-
-def blowup_at(g: DecoratedGraph, site: BlowupSite, delta: Fraction) -> DecoratedGraph | None:
-    if isinstance(site, FatSide):
-        return blowup_fat(g, site, delta)
-    return blowup_interior(g, site.chain, site.vertex, delta)
-
-
 def all_blowups(g: DecoratedGraph, delta: Fraction) -> list[DecoratedGraph]:
-    """Every valid single blowup of size delta, in deterministic site order.
+    """Every valid single blowup of size delta, in deterministic site order:
+    bottom fat, top fat, then the vertices of each chain bottom-up.
 
     The list may contain pairwise-equivalent graphs; deduplication is the
     caller's business.
     """
-    results = []
-    for site in sites(g):
-        blown = blowup_at(g, site, delta)
-        if blown is not None:
-            results.append(blown)
-    return results
+    blown = [blowup_fat(g, FatSide.BOTTOM, delta), blowup_fat(g, FatSide.TOP, delta)]
+    for ci, chain in enumerate(g.chains):
+        blown.extend(blowup_interior(g, ci, vi, delta) for vi in range(len(chain.heights)))
+    return [b for b in blown if b is not None]

@@ -13,7 +13,8 @@ Subcommands::
     hamcircle invariants -v "2,1;1"                   volume, width, packing, minimal classes
 
 Exit codes: 0 success, 1 the vector does not encode a blowup form (or was
-rejected under --no-reduce), 2 usage or I/O error, 3 internal consistency
+rejected under --no-reduce), 2 usage or I/O error or input beyond
+MAX_SCALAR_DIGITS, MAX_VECTOR_DIGITS or MAX_TWISTS, 3 internal consistency
 failure between the enumerator and a closed-form count.
 
 All numeric output is exact; decimal approximations appear only in fields
@@ -41,7 +42,7 @@ from .vectors import (
     gromov_width,
     is_g_reduced,
     packing_number,
-    qstr,
+    require_cone,
     volume,
 )
 
@@ -54,6 +55,11 @@ EXIT_BUG = 3
 # Most digits a scalar may be written with, and the largest decimal exponent
 # it may carry: beyond these ``Fraction`` would build integers too long to print.
 MAX_SCALAR_DIGITS = 100
+# Most digits the numerators and denominators of a whole vector may have
+# together, so that sums and products over many deltas stay printable.
+MAX_VECTOR_DIGITS = 1000
+# Most ruled-surface graphs (one per twist) that count and enumerate will seed.
+MAX_TWISTS = 10**5
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -80,14 +86,17 @@ def parse_vector(
         raise ValueError(f"expected 'lambda_f,lambda_b;deltas', got {text!r}")
     lf, lb = parse_scalar(parts[0]), parse_scalar(parts[1])
     deltas = tuple(parse_scalar(p) for p in tail.split(",")) if tail.strip() else ()
+    digits = sum(len(str(abs(n))) for q in (lf, lb, *deltas) for n in q.as_integer_ratio())
+    if digits > MAX_VECTOR_DIGITS:
+        raise ValueError(f"vector has {digits} digits, more than {MAX_VECTOR_DIGITS}")
     return BlowupVector(lf, lb, deltas, bundle, genus)
 
 
 def format_vector(v: BlowupVector) -> str:
-    head = f"{qstr(v.lambda_f)},{qstr(v.lambda_b)}"
+    head = f"{v.lambda_f},{v.lambda_b}"
     if not v.deltas:
         return head
-    return head + ";" + ",".join(qstr(d) for d in v.deltas)
+    return head + ";" + ",".join(str(d) for d in v.deltas)
 
 
 def to_dot(graphs: list[DecoratedGraph]) -> str:
@@ -98,12 +107,12 @@ def to_dot(graphs: list[DecoratedGraph]) -> str:
         lines.append(f"  subgraph cluster_{gi} {{")
         lines.append(f'    label="graph {gi}";')
         bot, top = f"g{gi}_bottom", f"g{gi}_top"
-        lines.append(f'    {bot} [shape=box, label="area {qstr(g.bottom.area)}, genus {g.bottom.genus}"];')
-        lines.append(f'    {top} [shape=box, label="area {qstr(g.top.area)}, genus {g.top.genus}"];')
+        lines.append(f'    {bot} [shape=box, label="area {g.bottom.area}, genus {g.bottom.genus}"];')
+        lines.append(f'    {top} [shape=box, label="area {g.top.area}, genus {g.top.genus}"];')
         for pos, chain in enumerate(g.chains):
             names = [f"g{gi}_c{pos}_v{vi}" for vi in range(len(chain.heights))]
             for name, h in zip(names, chain.heights):
-                lines.append(f'    {name} [label="{qstr(h)}"];')
+                lines.append(f'    {name} [label="{h}"];')
             lines.append(f'    {bot} -- {names[0]} [label="1"];')
             for vi, label in enumerate(chain.labels):
                 lines.append(f'    {names[vi]} -- {names[vi + 1]} [label="{label}"];')
@@ -148,7 +157,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("violated: " + ", ".join(report.violations))
     reduced = is_g_reduced(v)
     if v.k >= 2:
-        print(f"g-reduced: {'yes' if reduced else 'no'} (defect {qstr(defect(v))})")
+        print(f"g-reduced: {'yes' if reduced else 'no'} (defect {defect(v)})")
     else:
         print("g-reduced: yes (vacuous for k <= 1)")
     return EXIT_OK if report else EXIT_DOMAIN
@@ -157,20 +166,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     v = args.vector
     if v.k < 2:
-        report = check_cone(v)
-        if not report:
-            print("error: not a blowup form: " + ", ".join(report.violations), file=sys.stderr)
-            return EXIT_DOMAIN
+        require_cone(v)
         steps = (v,)
-        reduced = v
     else:
-        try:
-            result = cremona_reduce(v)
-        except NotBlowupFormError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        steps = result.steps
-        reduced = result.vector
+        steps = cremona_reduce(v).steps
+    reduced = steps[-1]
     if args.format == "json":
         payload = {
             "input": format_vector(v),
@@ -199,16 +199,26 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
     return None, "no closed form applies (unequal sizes or 2*delta > lambda_f)"
 
 
+def _too_many_twists(v: BlowupVector) -> bool:
+    """Refuse, with a message, a cone vector with more than MAX_TWISTS ruled-surface graphs.
+
+    Cremona reduction only lowers lambda_b, so the input bounds the reduced vector.
+    """
+    require_cone(v)
+    twists = count_ruled(v.lambda_f, v.lambda_b, v.bundle)
+    if twists > MAX_TWISTS:
+        print(f"error: {twists} twists exceed the limit of {MAX_TWISTS}", file=sys.stderr)
+    return twists > MAX_TWISTS
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     v = args.vector
     if args.no_reduce and v.k >= 2 and not is_g_reduced(v):
         print("error: vector is not g-reduced and --no-reduce was given", file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        report = count_actions(v)
-    except NotBlowupFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if _too_many_twists(v):
+        return EXIT_USAGE
+    report = count_actions(v)
     formula_value: int | None = None
     formula_kind = ""
     if args.formula_crosscheck:
@@ -240,12 +250,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    v = args.vector
-    try:
-        graphs, report = enumerate_actions(v)
-    except NotBlowupFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if _too_many_twists(args.vector):
+        return EXIT_USAGE
+    graphs, report = enumerate_actions(args.vector)
     if args.format == "dot":
         return _emit(to_dot(graphs), args.out)
     payload = _report_json(report)
@@ -256,10 +263,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     v = args.vector
-    report = check_cone(v)
-    if not report:
-        print("error: not a blowup form: " + ", ".join(report.violations), file=sys.stderr)
-        return EXIT_DOMAIN
     width = gromov_width(v)
     packing = packing_number(v)
     emin_vector = v
@@ -273,8 +276,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             "vector": format_vector(v),
             "bundle": v.bundle.value,
             "genus": v.genus,
-            "volume": qstr(volume(v)),
-            "width_squared": qstr(width.width_squared),
+            "volume": str(volume(v)),
+            "width_squared": str(width.width_squared),
             "width_capped_by_fiber": width.capped_by_fiber,
             "width_approx": width.approx,
             "packing_number": packing,
@@ -290,9 +293,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"vector: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
-    print(f"volume: {qstr(volume(v))}")
+    print(f"volume: {volume(v)}")
     branch = "capped by fiber" if width.capped_by_fiber else "volume bound"
-    print(f"gromov width^2: {qstr(width.width_squared)} ({branch}, approx {width.approx:.6f})")
+    print(f"gromov width^2: {width.width_squared} ({branch}, approx {width.approx:.6f})")
     print(f"packing number: {packing}")
     if minimal is None:
         print("E_min: none (no blowups)")
@@ -365,7 +368,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except NotBlowupFormError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def entry() -> None:

@@ -14,12 +14,12 @@ search is only correct for reduced vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .blowups import all_blowups
-from .formulas import count_ruled
 from .graphs import DecoratedGraph, FatVertex, canonical_sort_key, class_key
 from .vectors import (
     BlowupVector,
@@ -68,12 +68,7 @@ def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -
     lf, lb = as_q(lambda_f), as_q(lambda_b)
     if lf <= 0 or lb <= 0:
         raise ValueError("lambda_f and lambda_b must be positive")
-    twists = []
-    n = 0 if bundle is BundleType.TRIVIAL else 1
-    while lb - Fraction(n, 2) * lf > 0:
-        twists.append(n)
-        n += 2
-    return twists
+    return list(range(0 if bundle is BundleType.TRIVIAL else 1, math.ceil(2 * lb / lf), 2))
 
 
 def initial_graphs(
@@ -126,11 +121,20 @@ class CountReport:
         return self.stage_counts[-1]
 
 
-def _prepare(v: BlowupVector) -> tuple[BlowupVector, bool]:
+def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport]:
+    """Seed the store with the ruled-surface graphs, then run one blowup stage per delta."""
     require_cone(v)
+    reduced, auto = v, False
     if v.k >= 2 and not is_g_reduced(v):
-        return cremona_reduce(v).vector, True
-    return v, False
+        reduced, auto = cremona_reduce(v).vector, True
+    lf, lb, bundle = reduced.lambda_f, reduced.lambda_b, reduced.bundle
+    store = GraphStore(initial_graphs(lf, lb, bundle, reduced.genus))
+    counts = [len(store)]
+    for delta in reduced.deltas:
+        store = blowup_stage(store, delta)
+        counts.append(len(store))
+    twists = tuple(initial_twists(lf, lb, bundle))
+    return store, CountReport(v, reduced, auto, twists, tuple(counts))
 
 
 def count_actions(v: BlowupVector) -> CountReport:
@@ -138,33 +142,12 @@ def count_actions(v: BlowupVector) -> CountReport:
 
     Rejects vectors outside the cone.  Non-reduced input (k >= 2) is reduced
     first and flagged; the count is an invariant of the symplectomorphism
-    class, so this does not change the answer.  For k = 0 the closed ruled
-    count is returned directly, without building graphs.
+    class, so this does not change the answer.
     """
-    reduced, auto = _prepare(v)
-    twists = tuple(initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle))
-    if reduced.k == 0:
-        ruled = count_ruled(reduced.lambda_f, reduced.lambda_b, reduced.bundle)
-        return CountReport(v, reduced, auto, twists, (ruled,))
-    store = GraphStore(initial_graphs(reduced.lambda_f, reduced.lambda_b, reduced.bundle, reduced.genus))
-    counts = [len(store)]
-    for delta in reduced.deltas:
-        store = blowup_stage(store, delta)
-        counts.append(len(store))
-    return CountReport(v, reduced, auto, twists, tuple(counts))
+    return _staged_run(v)[1]
 
 
 def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountReport]:
-    """Like ``count_actions`` but returning the graphs in canonical order.
-
-    For k = 0 the ruled-surface graphs themselves are materialized.
-    """
-    reduced, auto = _prepare(v)
-    twists = tuple(initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle))
-    store = GraphStore(initial_graphs(reduced.lambda_f, reduced.lambda_b, reduced.bundle, reduced.genus))
-    counts = [len(store)]
-    for delta in reduced.deltas:
-        store = blowup_stage(store, delta)
-        counts.append(len(store))
-    graphs = sorted(store, key=canonical_sort_key)
-    return graphs, CountReport(v, reduced, auto, twists, tuple(counts))
+    """Like ``count_actions`` but returning the graphs in canonical order."""
+    store, report = _staged_run(v)
+    return sorted(store, key=canonical_sort_key), report

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .vectors import as_q, qstr
+from .vectors import as_q
 
 
 def _interleave(heights: tuple[Fraction, ...], labels: tuple[int, ...]) -> tuple:
@@ -202,16 +202,16 @@ def to_json_dict(g: DecoratedGraph) -> dict:
     """Canonical JSON object: rationals as strings, chains in start order."""
     chains = []
     for chain in g.chains:
-        seq: list = [qstr(chain.heights[0])]
+        seq: list = [str(chain.heights[0])]
         for label, h in zip(chain.labels, chain.heights[1:]):
             seq.append(label)
-            seq.append(qstr(h))
+            seq.append(str(h))
         chains.append(seq)
     return {
-        "height": qstr(g.height),
+        "height": str(g.height),
         "genus": g.bottom.genus,
-        "bottom_area": qstr(g.bottom.area),
-        "top_area": qstr(g.top.area),
+        "bottom_area": str(g.bottom.area),
+        "top_area": str(g.top.area),
         "chains": chains,
     }
 

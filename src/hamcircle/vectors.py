@@ -32,11 +32,6 @@ def as_q(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-def qstr(value: Fraction) -> str:
-    """Render a rational as "p/q", or plain "p" when the denominator is 1."""
-    return str(value)
-
-
 class BundleType(Enum):
     """The two S^2-bundles over a fixed base surface."""
 

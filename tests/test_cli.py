@@ -1,6 +1,7 @@
 """The command-line interface: parsing, outputs, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,8 @@ from hamcircle.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_SCALAR_DIGITS,
+    MAX_TWISTS,
+    MAX_VECTOR_DIGITS,
     format_vector,
     main,
     parse_vector,
@@ -99,6 +102,46 @@ def test_scalar_limits_are_inclusive():
         parse_vector(f"1e{MAX_SCALAR_DIGITS + 1},1")
 
 
+def test_vector_digit_limit_counts_parsed_values():
+    # 1e-100 is four characters but a 101-digit denominator
+    with pytest.raises(ValueError, match="digits"):
+        parse_vector("1,1;" + ",".join(["1e-100"] * 10))
+    # "1,1" has 4 digits (numerators and denominators); each 99-nine delta has 100
+    fits = "1,1;" + ",".join(["9" * 99] * 9 + ["9" * 95])
+    assert len(parse_vector(fits).deltas) == 10
+    with pytest.raises(ValueError, match=f"more than {MAX_VECTOR_DIGITS}"):
+        parse_vector(fits + "9")
+
+
+def test_many_coprime_deltas_are_a_usage_error(capsys):
+    deltas = ",".join(f"1/{10**45 + i}" for i in range(1, 120))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", "-v", f"1e40,1e40;{deltas}")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: vector has") and err.count("\n") == 1
+
+
+# --- domain errors: one handler for every subcommand --------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, violations",
+    [
+        pytest.param(("reduce", "-v", "1,1;3/2"), "delta_1_below_lambda_f, volume_positive", id="reduce-k1"),
+        pytest.param(("reduce", "-v", "4,1;3,1"), "volume_positive", id="reduce-k2"),
+        pytest.param(("count", "-v", "4,1;3,1"), "volume_positive", id="count"),
+        pytest.param(("enumerate", "-v", "4,1;3,1"), "volume_positive", id="enumerate"),
+        pytest.param(("invariants", "-v", "4,1;3,1"), "volume_positive", id="invariants"),
+        pytest.param(("count", "-v", "1,1e30;2"), "delta_1_below_lambda_f", id="count-wide"),
+    ],
+)
+def test_non_cone_is_a_domain_error(capsys, argv, violations):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == f"error: not a blowup form: {violations}\n"
+
+
 # --- reduce ------------------------------------------------------------------------
 
 
@@ -121,11 +164,6 @@ def test_reduce_json_trace(capsys):
     assert payload["reduced"] == "2,32/5;1/10,1/10,1/10,1/10"
     assert payload["iterations"] == 2
     assert len(payload["steps"]) == 3
-
-
-def test_reduce_non_cone_exits_domain(capsys):
-    code, _, err = run(capsys, "reduce", "-v", "4,1;3,1")
-    assert code == EXIT_DOMAIN and "not a blowup form" in err
 
 
 def test_reduce_single_blowup_is_already_reduced(capsys):
@@ -190,6 +228,33 @@ def test_count_crosscheck_not_applicable_is_fine(capsys):
     code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck")
     assert code == EXIT_OK
     assert "no closed form applies" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-v", "1,1e30"),
+        ("count", "-v", "1,1e30;1/2"),
+        ("count", "-v", "1,1e30", "-b", "nontrivial"),
+        ("enumerate", "-v", "1,1e30"),
+    ],
+)
+def test_too_many_twists_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and f"limit of {MAX_TWISTS}" in err and err.count("\n") == 1
+
+
+def test_twist_limit_is_inclusive(capsys, monkeypatch):
+    import hamcircle.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_TWISTS", 3)
+    code, out, _ = run(capsys, "count", "-v", "1,3")
+    assert code == EXIT_OK and "actions: 3" in out
+    code, _, err = run(capsys, "enumerate", "-v", "1,7/2")
+    assert code == EXIT_USAGE and err == "error: 4 twists exceed the limit of 3\n"
 
 
 def test_genus_flag_must_be_positive(capsys):
@@ -283,11 +348,6 @@ def test_invariants_json(capsys):
     assert payload["volume"] == "7/2"
     assert payload["emin"]["classes"] == ["E2"]
     assert payload["emin"]["case"] == "case1a"
-
-
-def test_invariants_non_cone_exit(capsys):
-    code, _, err = run(capsys, "invariants", "-v", "4,1;3,1")
-    assert code == EXIT_DOMAIN and "not a blowup form" in err
 
 
 # --- parser-level behaviour --------------------------------------------------------------

@@ -3,7 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cone_vectors, oracle_equivalent
 from hamcircle import (
@@ -98,6 +99,23 @@ def test_initial_twists_parity():
     assert initial_twists(3, 7, T) == [0, 2, 4]
     assert initial_twists(2, 3, NT) == [1]
     assert initial_twists(2, F(1, 2), NT) == []  # base too small for the odd twist
+
+
+@given(
+    st.fractions(min_value=F(1, 8), max_value=8, max_denominator=12),
+    st.integers(0, 40),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=12),
+    st.sampled_from([T, NT]),
+)
+@example(F(2), 1, F(0), NT)  # lambda_b == lambda_f/2: no odd twist
+@example(F(2), 0, F(1, 4), NT)  # lambda_b < lambda_f/2
+@example(F(3), 4, F(0), T)  # lambda_b a multiple of lambda_f/2
+def test_initial_twists_match_their_definition(lf, halves, rest, bundle):
+    lb = lf * (F(halves, 2) + rest)
+    assume(lb > 0)
+    parity = 0 if bundle is T else 1
+    expected = [n for n in range(parity, 2 * halves + 4, 2) if lb - n * lf / 2 > 0]
+    assert initial_twists(lf, lb, bundle) == expected
 
 
 def test_initial_graphs_need_positive_parameters():
