@@ -16,6 +16,9 @@ pre-existing vertices of the same chain or the moment extrema, and the fat
 areas must stay positive.  Equality would create a zero-area sphere or
 coincident fixed points on one chain.  An invalid site yields None rather
 than an exception, so enumeration can prune branches cheaply.
+
+Every move only adds, subtracts and multiplies by integer labels, so a graph
+and a delta given as ints give ints.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .graphs import Chain, DecoratedGraph, FatVertex
-from .vectors import Q, as_q
+from .vectors import as_exact
 
 
 class FatSide(Enum):
@@ -32,14 +35,14 @@ class FatSide(Enum):
     TOP = "top"
 
 
-def _check_delta(delta: Fraction) -> Fraction:
-    delta = as_q(delta)
+def _check_delta(delta: int | Fraction) -> int | Fraction:
+    delta = as_exact(delta)
     if delta <= 0:
         raise ValueError("blowup size must be positive")
     return delta
 
 
-def blowup_fat(g: DecoratedGraph, side: FatSide, delta: Fraction) -> DecoratedGraph | None:
+def blowup_fat(g: DecoratedGraph, side: FatSide, delta: int | Fraction) -> DecoratedGraph | None:
     """Blow up at a fat vertex; None when the move would not be valid.
 
     Valid iff delta is strictly below both the chosen fat area and the graph
@@ -62,7 +65,7 @@ def blowup_fat(g: DecoratedGraph, side: FatSide, delta: Fraction) -> DecoratedGr
 
 
 def blowup_interior(
-    g: DecoratedGraph, chain_index: int, vertex_index: int, delta: Fraction
+    g: DecoratedGraph, chain_index: int, vertex_index: int, delta: int | Fraction
 ) -> DecoratedGraph | None:
     """Blow up at an interior fixed point; None when the move would not be valid.
 
@@ -78,7 +81,7 @@ def blowup_interior(
     above = chain.labels[vertex_index] if vertex_index < len(chain.labels) else 1
     low = h - below * delta
     high = h + above * delta
-    floor = chain.heights[vertex_index - 1] if vertex_index > 0 else Q(0)
+    floor = chain.heights[vertex_index - 1] if vertex_index > 0 else 0
     ceiling = chain.heights[vertex_index + 1] if vertex_index + 1 < len(chain.heights) else g.height
     if not (floor < low and high < ceiling):
         return None
@@ -88,7 +91,7 @@ def blowup_interior(
     return DecoratedGraph(g.bottom, g.top, g.height, chains)
 
 
-def all_blowups(g: DecoratedGraph, delta: Fraction) -> list[DecoratedGraph]:
+def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph]:
     """Every valid single blowup of size delta, in deterministic site order:
     bottom fat, top fat, then the vertices of each chain bottom-up.
 

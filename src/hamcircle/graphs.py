@@ -19,6 +19,10 @@ of its flip, so equivalence is key equality.
 
 Distinct chains may contain vertices at equal heights; this really happens,
 e.g. after two half-fiber blowups from opposite fat vertices.
+
+Heights and areas are exact: an int stays an int, anything else becomes a
+``Fraction``, and floats are refused.  The staged enumeration builds its
+graphs on an integer lattice and converts them to Fractions only for output.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .vectors import as_q
+from .vectors import as_exact
 
 
-def _interleave(heights: tuple[Fraction, ...], labels: tuple[int, ...]) -> tuple:
+def _interleave(heights: tuple[int | Fraction, ...], labels: tuple[int, ...]) -> tuple:
     out: list = [heights[0]]
     for label, h in zip(labels, heights[1:]):
         out.append(label)
@@ -44,44 +48,45 @@ def _interleave(heights: tuple[Fraction, ...], labels: tuple[int, ...]) -> tuple
 class Chain:
     """Interior fixed points of one edge path between the two fat vertices."""
 
-    heights: tuple[Fraction, ...]
+    heights: tuple[int | Fraction, ...]
     labels: tuple[int, ...] = ()
+    # The alternating sequence read from the bottom, as a sort key; built once.
+    start_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "heights", tuple(as_q(h) for h in self.heights))
+        object.__setattr__(self, "heights", tuple(as_exact(h) for h in self.heights))
         object.__setattr__(self, "labels", tuple(operator.index(l) for l in self.labels))
         if not self.heights:
             raise ValueError("a chain holds at least one vertex")
         if len(self.labels) != len(self.heights) - 1:
             raise ValueError("a chain alternates vertices and edges: need one label less than vertices")
+        object.__setattr__(self, "start_key", _interleave(self.heights, self.labels))
 
-    def start_key(self) -> tuple:
-        """The alternating sequence read from the bottom, as a sort key."""
-        return _interleave(self.heights, self.labels)
-
-    def end_key(self, height: Fraction) -> tuple:
+    def end_key(self, height: int | Fraction) -> tuple:
         """The sequence read backwards with heights measured from the top."""
-        return _interleave(
-            tuple(height - h for h in reversed(self.heights)),
-            tuple(reversed(self.labels)),
-        )
+        key = list(reversed(self.start_key))
+        key[::2] = [height - h for h in key[::2]]
+        return tuple(key)
 
-    def flipped(self, height: Fraction) -> "Chain":
+    def flipped(self, height: int | Fraction) -> "Chain":
         return Chain(
             tuple(height - h for h in reversed(self.heights)),
             tuple(reversed(self.labels)),
         )
 
 
+_START_KEY = operator.attrgetter("start_key")
+
+
 @dataclass(frozen=True)
 class FatVertex:
     """A fixed surface at a moment extremum: area label and genus."""
 
-    area: Fraction
+    area: int | Fraction
     genus: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "area", as_q(self.area))
+        object.__setattr__(self, "area", as_exact(self.area))
         if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
             raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
 
@@ -95,12 +100,12 @@ class DecoratedGraph:
 
     bottom: FatVertex
     top: FatVertex
-    height: Fraction
+    height: int | Fraction
     chains: tuple[Chain, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "height", as_q(self.height))
-        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=Chain.start_key)))
+        object.__setattr__(self, "height", as_exact(self.height))
+        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_START_KEY)))
 
 
 def class_key(g: DecoratedGraph) -> tuple:
@@ -111,7 +116,7 @@ def class_key(g: DecoratedGraph) -> tuple:
     chain end keys); the flipped graph itself is never built.
     """
     bottom, top, height = g.bottom.area, g.top.area, g.height
-    own = (bottom, top, height, tuple(c.start_key() for c in g.chains))
+    own = (bottom, top, height, tuple(c.start_key for c in g.chains))
     if bottom < top:
         return own
     return min(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
@@ -188,7 +193,7 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
         g.bottom.area,
         g.top.area,
         len(g.chains),
-        tuple(c.start_key() for c in g.chains),
+        tuple(c.start_key for c in g.chains),
     )
 
 

@@ -27,9 +27,16 @@ Q = Fraction
 
 def as_q(value: int | str | Fraction) -> Fraction:
     """Convert to an exact rational; floats are refused outright."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an int, a string or a Fraction")
     return Fraction(value)
+
+
+def as_exact(value: int | str | Fraction) -> int | Fraction:
+    """An int as it is, anything else through ``as_q``; floats are refused outright."""
+    return value if type(value) is int else as_q(value)
 
 
 class BundleType(Enum):

@@ -29,6 +29,21 @@ from hamcircle import (
 BUNDLES = (BundleType.TRIVIAL, BundleType.NONTRIVIAL)
 
 
+def graph_values(g):
+    """Every height and area of a graph."""
+    return [g.height, g.bottom.area, g.top.area, *(h for c in g.chains for h in c.heights)]
+
+
+def map_values(g, fn):
+    """The graph with every height and area x replaced by fn(x)."""
+    return DecoratedGraph(
+        FatVertex(fn(g.bottom.area), g.bottom.genus),
+        FatVertex(fn(g.top.area), g.top.genus),
+        fn(g.height),
+        tuple(Chain(tuple(map(fn, c.heights)), c.labels) for c in g.chains),
+    )
+
+
 # --- hypothesis strategies ---------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blown_graphs, valid_graphs
+from conftest import blown_graphs, graph_values, map_values, valid_graphs
 from hamcircle import (
     Chain,
     DecoratedGraph,
@@ -19,6 +19,7 @@ from hamcircle import (
     blowup_fat,
     blowup_interior,
     canonical_sort_key,
+    class_key,
     flip,
     validate,
 )
@@ -149,3 +150,55 @@ def test_blowups_commute_with_the_flip(g, t):
     routed = sorted((flip(h) for h in all_blowups(g, delta)), key=canonical_sort_key)
     assert len(direct) == len(routed)
     assert direct == routed
+
+
+# --- the integer lattice ----------------------------------------------------------
+
+
+def _key_values(key):
+    bottom, top, height, chain_keys = key
+    return [bottom, top, height, *(x for ck in chain_keys for x in ck[0::2])]
+
+
+@given(blown_graphs(), st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32))
+@settings(max_examples=150)
+def test_int_graphs_blow_up_like_the_same_graph_in_fractions(g, t):
+    delta = t * min(g.bottom.area, g.top.area, g.height)
+    scale = math.lcm(delta.denominator, *(x.denominator for x in graph_values(g)))
+    gi, di = map_values(g, lambda x: int(x * scale)), int(delta * scale)
+    gq, dq = map_values(gi, F), F(di)
+    assert all(type(x) is int for x in graph_values(gi))
+    assert all(type(x) is F for x in graph_values(gq))
+    assert class_key(gi) == class_key(gq)
+    assert all(type(x) is int for x in _key_values(class_key(gi)))
+    for side in FatSide:
+        assert blowup_fat(gi, side, di) == blowup_fat(gq, side, dq)
+    for ci, chain in enumerate(gi.chains):
+        for vi in range(len(chain.heights)):
+            assert blowup_interior(gi, ci, vi, di) == blowup_interior(gq, ci, vi, dq)
+    blown = all_blowups(gi, di)
+    assert blown == all_blowups(gq, dq)
+    assert [class_key(b) for b in blown] == [class_key(b) for b in all_blowups(gq, dq)]
+    assert all(type(x) is int for b in blown for x in graph_values(b))
+    assert all(type(x) is int for b in blown for x in _key_values(class_key(b)))
+
+
+INT_GRAPH = DecoratedGraph(FatVertex(8), FatVertex(6), 4, (Chain((2,)),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Chain((0.5,)),
+        lambda: Chain((1, 2.0), (1,)),
+        lambda: FatVertex(0.5),
+        lambda: DecoratedGraph(FatVertex(8), FatVertex(6), 4.0),
+        lambda: blowup_fat(INT_GRAPH, FatSide.BOTTOM, 0.25),
+        lambda: blowup_fat(INT_GRAPH, FatSide.TOP, 1.0),
+        lambda: blowup_interior(INT_GRAPH, 0, 0, 0.25),
+        lambda: all_blowups(INT_GRAPH, 0.25),
+    ],
+)
+def test_floats_are_refused_beside_ints(make):
+    with pytest.raises(TypeError):
+        make()

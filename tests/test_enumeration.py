@@ -1,12 +1,13 @@
 """The staged enumeration: seeding, stages, dedup, and count invariances."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_vectors, oracle_equivalent
+from conftest import cone_vectors, graph_values, map_values, oracle_equivalent
 from hamcircle import (
     BlowupVector,
     BundleType,
@@ -30,6 +31,8 @@ from hamcircle import (
     sort_deltas,
     swap_bundle,
 )
+from hamcircle.cli import parse_vector
+from hamcircle.formulas import count_ruled, max_count, max_count_conditions
 
 T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 
@@ -292,3 +295,89 @@ def test_count_matches_enumerate_on_the_reduction_demo():
     assert len(left) == len(right)
     for g in left:
         assert any(are_equivalent(g, h) for h in right)
+
+
+# --- the integer lattice and the output ----------------------------------------------
+
+
+def _scaled_vector(v, s):
+    return BlowupVector(v.lambda_f * s, v.lambda_b * s, tuple(d * s for d in v.deltas), v.bundle, v.genus)
+
+
+def _assert_scale_covariant(v, s):
+    graphs, report = enumerate_actions(v)
+    scaled, scaled_report = enumerate_actions(_scaled_vector(v, s))
+    assert scaled_report.stage_counts == report.stage_counts
+    w = report.reduced_vector
+    assert report.initial_twists == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
+    assert scaled_report.initial_twists == report.initial_twists
+    assert scaled == [map_values(g, lambda x: x * s) for g in graphs]
+    return graphs, report
+
+
+@given(
+    cone_vectors(min_k=0, max_k=4, small=True),
+    st.fractions(min_value=F(1, 60), max_value=60, max_denominator=60),
+)
+@settings(max_examples=40, deadline=None)
+def test_enumeration_is_scale_covariant(v, s):
+    _assert_scale_covariant(v, s)
+
+
+@pytest.mark.parametrize("bundle", [T, NT])
+@pytest.mark.parametrize("s", [F(1), F(13, 17), F(221, 2)])
+def test_scale_covariance_with_coprime_denominators(bundle, s):
+    v = parse_vector("1/3,7/2;1/7,1/11,1/13", bundle)
+    graphs, report = _assert_scale_covariant(v, s)
+    assert report.stage_counts[0] == count_ruled(v.lambda_f, v.lambda_b, bundle)
+    assert len(graphs) == report.count <= max_count(v.lambda_f, v.lambda_b, v.k)
+
+
+def test_coprime_denominators_reach_the_sharp_bound():
+    v = parse_vector("1/3,7/2;1/11,1/37,1/101")
+    assert max_count_conditions(v)
+    graphs, report = _assert_scale_covariant(v, F(5, 7))
+    assert len(graphs) == report.count == max_count(v.lambda_f, v.lambda_b, v.k)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        BlowupVector(3, 3, (2, 2)),
+        BlowupVector(1, 1, (F(1, 4), F(1, 16))),
+        BlowupVector(F(1, 3), F(7, 2), (F(1, 7), F(1, 11), F(1, 13)), NT),
+        BlowupVector(2, 5, bundle=NT),
+    ],
+)
+def test_enumerated_heights_and_areas_are_fractions(v):
+    graphs, _ = enumerate_actions(v)
+    assert graphs
+    assert all(type(x) is F for g in graphs for x in graph_values(g))
+
+
+def test_stages_refuse_floats():
+    with pytest.raises(TypeError):
+        initial_graphs(1.0, 2, T, 1)
+    with pytest.raises(TypeError):
+        initial_graphs(2, 2.5, T, 1)
+    with pytest.raises(TypeError):
+        blowup_stage(GraphStore(initial_graphs(4, 8, T, 1)), 0.5)
+
+
+# SHA-256 of the newline-joined canonical JSON that enumerate_actions gives,
+# taken while the stages still ran on Fractions: the integer lattice must not
+# change one output byte.
+GOLDEN = [
+    ("1,2;1/4,1/16,1/64,1/256,1/1024", T, 1080, "512ce5b693ab1aac77daebec545c4c796baef6299c773efc406cfe1f33bde675"),
+    ("1,5;1/2,1/2,1/2", T, 8, "0180e80d2286ec9858150061dc8ac677bbb401dfacba30a266a0b5f666454589"),
+    ("1,5;1/2,1/2,1/2", NT, 8, "d199d441ca63aeac770e471c5004d172c58fc476ea3e60778025bb9632f91018"),
+    ("1,2;1/3,1/3,1/6,1/6,1/12,1/12", NT, 402, "2d15bf664d741921d1dc37739ae8ad4917d10156660644cbd6234eaa5f1dd068"),
+    ("2,10;1.9,1.9,1.9,1.9", T, 17, "87944f00cc6575c4bbf343809ff2c7637f3646735e0f6432556e31c20b9927ab"),
+]
+
+
+@pytest.mark.parametrize("text, bundle, count, digest", GOLDEN)
+def test_enumeration_output_matches_the_golden_digests(text, bundle, count, digest):
+    graphs, _ = enumerate_actions(parse_vector(text, bundle))
+    assert len(graphs) == count
+    assert hashlib.sha256("\n".join(canonical_json(g) for g in graphs).encode()).hexdigest() == digest

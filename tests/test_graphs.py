@@ -1,5 +1,6 @@
 """Decorated graphs: ordering, flips, equivalence, canonical serialization."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -267,3 +268,12 @@ def test_byte_equality_matches_are_same(pair):
 def test_mirror_helper_agrees_with_flip():
     g = graph(1, 2, 1, (("1/4", "1/2"), (3,)), (("1/8",), ()))
     assert mirror(g) == flip(g)
+
+
+def test_start_key_is_built_once_and_stays_out_of_equality_hash_and_repr():
+    c = Chain((F(1, 4), F(1, 2)), (2,))
+    assert c.start_key == (F(1, 4), 2, F(1, 2))
+    assert c.start_key is c.start_key
+    assert "start_key" not in repr(c)
+    assert {f.name for f in dataclasses.fields(c) if f.compare or f.hash} == {"heights", "labels"}
+    assert c == Chain((F(1, 4), F(1, 2)), (2,)) and hash(c) == hash(Chain((F(1, 4), F(1, 2)), (2,)))
