@@ -75,19 +75,19 @@ def blowup_interior(
     and the upper endpoint strictly below the vertex above (or the height).
     """
     delta = _check_delta(delta)
-    chain = g.chains[chain_index]
-    h = chain.heights[vertex_index]
-    below = chain.labels[vertex_index - 1] if vertex_index > 0 else 1
-    above = chain.labels[vertex_index] if vertex_index < len(chain.labels) else 1
-    low = h - below * delta
-    high = h + above * delta
-    floor = chain.heights[vertex_index - 1] if vertex_index > 0 else 0
-    ceiling = chain.heights[vertex_index + 1] if vertex_index + 1 < len(chain.heights) else g.height
+    seq = g.chains[chain_index].seq
+    i = 2 * vertex_index
+    last = i + 1 == len(seq)
+    below = seq[i - 1] if i else 1
+    above = 1 if last else seq[i + 1]
+    low = seq[i] - below * delta
+    high = seq[i] + above * delta
+    floor = seq[i - 2] if i else 0
+    ceiling = g.height if last else seq[i + 2]
     if not (floor < low and high < ceiling):
         return None
-    heights = chain.heights[:vertex_index] + (low, high) + chain.heights[vertex_index + 1:]
-    labels = chain.labels[:vertex_index] + (below + above,) + chain.labels[vertex_index:]
-    chains = g.chains[:chain_index] + (Chain(heights, labels),) + g.chains[chain_index + 1:]
+    chain = Chain(seq[:i] + (low, below + above, high) + seq[i + 1:])
+    chains = g.chains[:chain_index] + (chain,) + g.chains[chain_index + 1:]
     return DecoratedGraph(g.bottom, g.top, g.height, chains)
 
 

@@ -175,7 +175,7 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     # and shared by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
     fat = functools.cache(lambda f: FatVertex(fraction(f.area), f.genus))
-    chain = functools.cache(lambda c: Chain(tuple(map(fraction, c.heights)), c.labels))
+    chain = functools.cache(lambda c: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(c.seq))))
     # each lattice graph is freed as soon as its Fraction copy replaces it
     for i, g in enumerate(graphs):
         graphs[i] = DecoratedGraph(fat(g.bottom), fat(g.top), fraction(g.height), tuple(map(chain, g.chains)))

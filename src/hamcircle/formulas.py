@@ -16,7 +16,6 @@ from fractions import Fraction
 from .vectors import (
     BlowupVector,
     BundleType,
-    Q,
     as_q,
     require_cone,
 )
@@ -146,7 +145,7 @@ def max_count_conditions(v: BlowupVector) -> bool:
         raise ValueError("need at least one blowup")
     require_cone(v)
     d = v.deltas
-    total = sum(d, start=Q(0))
+    total = sum(d, start=Fraction(0))
     if not total < v.lambda_f:
         return False
     i = 0
@@ -155,12 +154,12 @@ def max_count_conditions(v: BlowupVector) -> bool:
             return False
         i += 1
     for j in range(1, v.k + 1):
-        if not sum(d[j:], start=Q(0)) < d[j - 1]:
+        if not sum(d[j:], start=Fraction(0)) < d[j - 1]:
             return False
     fibs = _fibs(v.k + 1)
     for j in range(1, v.k + 1):
         for s in range(1, v.k - j + 1):
-            weighted = sum((fibs[i + 1] * d[j + i - 1] for i in range(1, s + 1)), start=Q(0))
+            weighted = sum((fibs[i + 1] * d[j + i - 1] for i in range(1, s + 1)), start=Fraction(0))
             if not weighted < d[j - 1]:
                 return False
     return True

@@ -6,16 +6,17 @@ isolated fixed points.  Moment labels are normalized so the bottom fat vertex
 sits at 0 and the top at ``height``; the vertical-translation quotient then
 becomes literal equality, and the flip is an explicit involution.
 
-A chain stores the alternating sequence v0, e1, v1, ..., vm of interior vertex
-heights and edge labels, read from the bottom.  Edge labels are the isotropy
-orders of the gradient spheres; the edges touching a fat vertex always carry
-label 1 and are not stored.  Chains are compared lexicographically letter by
-letter, either from the start (heights measured from the bottom) or from the
-end (heights replaced by their distance from the top); a chain that is a
-strict prefix of another sorts first.  A graph keeps its chains in start
-order, so dataclass equality is node-for-node equality.  Each equivalence
-class has one hashable key, the smaller of the graph's own form and the form
-of its flip, so equivalence is key equality.
+A chain is one word, the alternating sequence ``seq = (v0, e1, v1, ..., vm)``
+of interior vertex heights and edge labels, read from the bottom; its
+heights are ``seq[::2]`` and its labels ``seq[1::2]``.  Edge labels are the
+isotropy orders of the gradient spheres; the edges touching a fat vertex
+always carry label 1 and are not stored.  Chains are compared as words,
+letter by letter, either from the start (``seq`` itself) or from the end
+(``seq`` reversed, heights replaced by their distance from the top); a chain
+that is a strict prefix of another sorts first.  A graph keeps its chains
+sorted by ``seq``, so dataclass equality is node-for-node equality.  Each
+equivalence class has one hashable key, the smaller of the graph's own form
+and the form of its flip, so equivalence is key equality.
 
 Distinct chains may contain vertices at equal heights; this really happens,
 e.g. after two half-fiber blowups from opposite fat vertices.
@@ -30,52 +31,46 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .vectors import as_exact
 
 
-def _interleave(heights: tuple[int | Fraction, ...], labels: tuple[int, ...]) -> tuple:
-    out: list = [heights[0]]
-    for label, h in zip(labels, heights[1:]):
-        out.append(label)
-        out.append(h)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Chain:
-    """Interior fixed points of one edge path between the two fat vertices."""
+    """Interior fixed points of one edge path between the two fat vertices.
 
-    heights: tuple[int | Fraction, ...]
-    labels: tuple[int, ...] = ()
-    # The alternating sequence read from the bottom, as a sort key; built once.
-    start_key: tuple = field(init=False, repr=False, compare=False)
+    ``seq`` alternates vertex heights and edge labels, v0, e1, v1, ..., vm,
+    from the bottom up.
+    """
+
+    seq: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "heights", tuple(as_exact(h) for h in self.heights))
-        object.__setattr__(self, "labels", tuple(operator.index(l) for l in self.labels))
-        if not self.heights:
-            raise ValueError("a chain holds at least one vertex")
-        if len(self.labels) != len(self.heights) - 1:
-            raise ValueError("a chain alternates vertices and edges: need one label less than vertices")
-        object.__setattr__(self, "start_key", _interleave(self.heights, self.labels))
+        seq = list(self.seq)
+        if len(seq) % 2 == 0:
+            raise ValueError("a chain alternates vertices and edges: v0, e1, v1, ..., vm, at least one vertex")
+        seq[::2] = map(as_exact, seq[::2])
+        seq[1::2] = map(operator.index, seq[1::2])
+        object.__setattr__(self, "seq", tuple(seq))
+
+    @property
+    def heights(self) -> tuple[int | Fraction, ...]:
+        return self.seq[::2]
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return self.seq[1::2]
 
     def end_key(self, height: int | Fraction) -> tuple:
         """The sequence read backwards with heights measured from the top."""
-        key = list(reversed(self.start_key))
+        key = list(reversed(self.seq))
         key[::2] = [height - h for h in key[::2]]
         return tuple(key)
 
-    def flipped(self, height: int | Fraction) -> "Chain":
-        return Chain(
-            tuple(height - h for h in reversed(self.heights)),
-            tuple(reversed(self.labels)),
-        )
 
-
-_START_KEY = operator.attrgetter("start_key")
+_SEQ = operator.attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class FatVertex:
 class DecoratedGraph:
     """Two fat vertices at heights 0 and ``height`` plus the chains between them.
 
-    The chains are stored in start order whatever order they are given in.
+    The chains are stored sorted by ``seq`` whatever order they are given in.
     """
 
     bottom: FatVertex
@@ -105,18 +100,18 @@ class DecoratedGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "height", as_exact(self.height))
-        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_START_KEY)))
+        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_SEQ)))
 
 
 def class_key(g: DecoratedGraph) -> tuple:
     """The same tuple for two graphs exactly when they agree up to the flip.
 
     The smaller of the graph's own form (bottom area, top area, height, chain
-    start keys) and its flip's form (top area, bottom area, height, sorted
+    sequences) and its flip's form (top area, bottom area, height, sorted
     chain end keys); the flipped graph itself is never built.
     """
     bottom, top, height = g.bottom.area, g.top.area, g.height
-    own = (bottom, top, height, tuple(c.start_key for c in g.chains))
+    own = (bottom, top, height, tuple(c.seq for c in g.chains))
     if bottom < top:
         return own
     return min(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
@@ -177,7 +172,7 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
         bottom=g.top,
         top=g.bottom,
         height=g.height,
-        chains=tuple(c.flipped(g.height) for c in g.chains),
+        chains=tuple(Chain(c.end_key(g.height)) for c in g.chains),
     )
 
 
@@ -193,7 +188,7 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
         g.bottom.area,
         g.top.area,
         len(g.chains),
-        tuple(c.start_key for c in g.chains),
+        tuple(c.seq for c in g.chains),
     )
 
 
@@ -204,20 +199,13 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
 
 
 def to_json_dict(g: DecoratedGraph) -> dict:
-    """Canonical JSON object: rationals as strings, chains in start order."""
-    chains = []
-    for chain in g.chains:
-        seq: list = [str(chain.heights[0])]
-        for label, h in zip(chain.labels, chain.heights[1:]):
-            seq.append(label)
-            seq.append(str(h))
-        chains.append(seq)
+    """Canonical JSON object: rationals as strings, each chain its ``seq`` in stored order."""
     return {
         "height": str(g.height),
         "genus": g.bottom.genus,
         "bottom_area": str(g.bottom.area),
         "top_area": str(g.top.area),
-        "chains": chains,
+        "chains": [[x if i % 2 else str(x) for i, x in enumerate(c.seq)] for c in g.chains],
     }
 
 
@@ -226,15 +214,10 @@ def canonical_json(g: DecoratedGraph) -> str:
 
 
 def graph_from_json_dict(data: dict) -> DecoratedGraph:
-    genus = int(data["genus"])
-    chains = []
-    for seq in data["chains"]:
-        heights = tuple(Fraction(x) for x in seq[0::2])
-        labels = tuple(int(x) for x in seq[1::2])
-        chains.append(Chain(heights, labels))
+    """The graph of ``to_json_dict``; values go through the constructors, so floats are refused."""
     return DecoratedGraph(
-        bottom=FatVertex(Fraction(data["bottom_area"]), genus),
-        top=FatVertex(Fraction(data["top_area"]), genus),
-        height=Fraction(data["height"]),
-        chains=tuple(chains),
+        bottom=FatVertex(data["bottom_area"], data["genus"]),
+        top=FatVertex(data["top_area"], data["genus"]),
+        height=data["height"],
+        chains=tuple(Chain(seq) for seq in data["chains"]),
     )

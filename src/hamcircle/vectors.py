@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-Q = Fraction
-
 
 def as_q(value: int | str | Fraction) -> Fraction:
     """Convert to an exact rational; floats are refused outright."""
@@ -99,7 +97,7 @@ class NotBlowupFormError(ValueError):
 
 def volume(v: BlowupVector) -> Fraction:
     """The symplectic volume lambda_f*lambda_b - (d1^2 + ... + dk^2)/2."""
-    return v.lambda_f * v.lambda_b - sum((d * d for d in v.deltas), start=Q(0)) / 2
+    return v.lambda_f * v.lambda_b - sum((d * d for d in v.deltas), start=Fraction(0)) / 2
 
 
 def check_cone(v: BlowupVector) -> ConeReport:
@@ -352,7 +350,7 @@ def gromov_width(v: BlowupVector) -> GromovWidth:
     hence the exact value returned is the square.
     """
     require_cone(v)
-    by_volume = 2 * v.lambda_f * v.lambda_b - sum((d * d for d in v.deltas), start=Q(0))
+    by_volume = 2 * v.lambda_f * v.lambda_b - sum((d * d for d in v.deltas), start=Fraction(0))
     by_fiber = v.lambda_f * v.lambda_f
     capped = by_fiber <= by_volume
     squared = by_fiber if capped else by_volume

@@ -40,7 +40,7 @@ def map_values(g, fn):
         FatVertex(fn(g.bottom.area), g.bottom.genus),
         FatVertex(fn(g.top.area), g.top.genus),
         fn(g.height),
-        tuple(Chain(tuple(map(fn, c.heights)), c.labels) for c in g.chains),
+        tuple(Chain(tuple(x if i % 2 else fn(x) for i, x in enumerate(c.seq))) for c in g.chains),
     )
 
 
@@ -77,13 +77,13 @@ def cone_vectors(draw, min_k=0, max_k=8, small=False, bundles=BUNDLES):
 def chains(draw, height):
     n = draw(st.integers(1, 3))
     numerators = draw(st.lists(st.integers(1, 31), min_size=n, max_size=n, unique=True))
-    heights = tuple(sorted(height * F(a, 32) for a in numerators))
-    labels = []
+    heights = sorted(height * F(a, 32) for a in numerators)
+    seq = [heights[0]]
     prev = 1
-    for _ in range(n - 1):
+    for h in heights[1:]:
         prev = draw(st.sampled_from([x for x in range(1, 7) if math.gcd(x, prev) == 1]))
-        labels.append(prev)
-    return Chain(heights, tuple(labels))
+        seq += [prev, h]
+    return Chain(tuple(seq))
 
 
 @st.composite
@@ -145,10 +145,7 @@ def permute_chains(g: DecoratedGraph, perm) -> DecoratedGraph:
 def mirror(g: DecoratedGraph) -> DecoratedGraph:
     """Independent reimplementation of the flip, for oracle use."""
     chain_list = tuple(
-        Chain(
-            tuple(g.height - h for h in reversed(c.heights)),
-            tuple(reversed(c.labels)),
-        )
+        Chain(tuple(x if i % 2 else g.height - x for i, x in enumerate(reversed(c.seq))))
         for c in g.chains
     )
     return DecoratedGraph(g.top, g.bottom, g.height, chain_list)
@@ -167,8 +164,7 @@ def tweak(g: DecoratedGraph) -> DecoratedGraph:
     new_h = (lower + upper) / 2
     if new_h == chain.heights[vi]:
         new_h = (lower + 3 * upper) / 4
-    heights = chain.heights[:vi] + (new_h,)
-    chain_list = (Chain(heights, chain.labels),) + g.chains[1:]
+    chain_list = (Chain(chain.seq[:-1] + (new_h,)),) + g.chains[1:]
     return DecoratedGraph(g.bottom, g.top, g.height, chain_list)
 
 
@@ -233,13 +229,13 @@ def random_valid_graph(rng: random.Random, max_chains: int = 5) -> DecoratedGrap
     for _ in range(rng.randint(0, max_chains)):
         n = rng.randint(1, 3)
         numerators = rng.sample(range(1, 32), n)
-        heights = tuple(sorted(height * F(a, 32) for a in numerators))
-        labels = []
+        heights = sorted(height * F(a, 32) for a in numerators)
+        seq = [heights[0]]
         prev = 1
-        for _ in range(n - 1):
+        for h in heights[1:]:
             prev = rng.choice([x for x in range(1, 7) if math.gcd(x, prev) == 1])
-            labels.append(prev)
-        chain_list.append(Chain(heights, tuple(labels)))
+            seq += [prev, h]
+        chain_list.append(Chain(tuple(seq)))
     return DecoratedGraph(bottom, top, height, tuple(chain_list))
 
 

@@ -29,8 +29,8 @@ def ruled(bottom, top, height, genus=1):
     return DecoratedGraph(FatVertex(F(bottom), genus), FatVertex(F(top), genus), F(height))
 
 
-def with_chain(g, *heights, labels=()):
-    chain = Chain(tuple(F(h) for h in heights), tuple(labels))
+def with_chain(g, *seq):
+    chain = Chain(seq)
     return DecoratedGraph(g.bottom, g.top, g.height, g.chains + (chain,))
 
 
@@ -76,17 +76,17 @@ def test_fat_blowup_rejects_nonpositive_sizes():
 def test_interior_blowup_splits_the_vertex():
     g = with_chain(ruled(F(3, 4), 1, 1), "1/4")
     blown = blowup_interior(g, 0, 0, F(1, 16))
-    assert blown.chains == (Chain((F(3, 16), F(5, 16)), (2,)),)
+    assert blown.chains == (Chain((F(3, 16), 2, F(5, 16))),)
 
 
 def test_interior_blowup_weights_by_the_labels():
-    g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", "5/16", labels=(2,))
+    g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", 2, "5/16")
     blown = blowup_interior(g, 0, 1, F(1, 32))
-    assert blown.chains == (Chain((F(3, 16), F(1, 4), F(11, 32)), (2, 3)),)
+    assert blown.chains == (Chain((F(3, 16), 2, F(1, 4), 3, F(11, 32))),)
 
 
 def test_interior_blowup_must_not_reach_the_vertex_below():
-    g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", "5/16", labels=(2,))
+    g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", 2, "5/16")
     assert blowup_interior(g, 0, 1, F(1, 16)) is None
 
 
@@ -190,7 +190,8 @@ INT_GRAPH = DecoratedGraph(FatVertex(8), FatVertex(6), 4, (Chain((2,)),))
     "make",
     [
         lambda: Chain((0.5,)),
-        lambda: Chain((1, 2.0), (1,)),
+        lambda: Chain((1, 1, 2.0)),
+        lambda: Chain((1, 1.0, 2)),
         lambda: FatVertex(0.5),
         lambda: DecoratedGraph(FatVertex(8), FatVertex(6), 4.0),
         lambda: blowup_fat(INT_GRAPH, FatSide.BOTTOM, 0.25),

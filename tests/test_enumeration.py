@@ -42,13 +42,13 @@ def graph(bottom, top, height, *chains, genus=1):
         FatVertex(F(bottom), genus),
         FatVertex(F(top), genus),
         F(height),
-        tuple(Chain(tuple(F(h) for h in hs), tuple(labels)) for hs, labels in chains),
+        tuple(map(Chain, chains)),
     )
 
 
-STAGE2_A = graph("11/16", 1, 1, (("1/4",), ()), (("1/16",), ()))
-STAGE2_B = graph("3/4", "15/16", 1, (("1/4",), ()), (("15/16",), ()))
-STAGE2_C = graph("3/4", 1, 1, (("3/16", "5/16"), (2,)))
+STAGE2_A = graph("11/16", 1, 1, ("1/4",), ("1/16",))
+STAGE2_B = graph("3/4", "15/16", 1, ("1/4",), ("15/16",))
+STAGE2_C = graph("3/4", 1, 1, ("3/16", 2, "5/16"))
 
 
 # --- the store -----------------------------------------------------------------
@@ -56,16 +56,16 @@ STAGE2_C = graph("3/4", 1, 1, (("3/16", "5/16"), (2,)))
 
 def test_add_if_new_rejects_duplicates():
     store = GraphStore()
-    g = graph("3/4", 1, 1, (("1/4",), ()))
+    g = graph("3/4", 1, 1, ("1/4",))
     assert store.add_if_new(g)
     assert not store.add_if_new(g)
-    assert not store.add_if_new(graph("3/4", 1, 1, (("1/4",), ())))
+    assert not store.add_if_new(graph("3/4", 1, 1, ("1/4",)))
     assert len(store) == 1
 
 
 def test_add_if_new_rejects_the_flip():
     store = GraphStore()
-    g = graph("3/4", 1, 1, (("1/4",), ()))
+    g = graph("3/4", 1, 1, ("1/4",))
     assert store.add_if_new(g)
     assert not store.add_if_new(flip(g))
     assert flip(g) in store
@@ -197,15 +197,15 @@ def test_enumerate_single_blowup():
     graphs, report = enumerate_actions(BlowupVector(1, 1, (F(1, 4),)))
     assert report.count == 1
     assert len(graphs) == 1
-    assert are_equivalent(graphs[0], graph("3/4", 1, 1, (("1/4",), ())))
+    assert are_equivalent(graphs[0], graph("3/4", 1, 1, ("1/4",)))
 
 
 def test_enumerate_nontrivial_hand_example():
     graphs, report = enumerate_actions(BlowupVector(2, 3, (F(1, 2),), NT))
     assert report.count == 2
     expected = [
-        graph("7/2", 2, 2, (("1/2",), ())),
-        graph(4, "3/2", 2, (("3/2",), ())),
+        graph("7/2", 2, 2, ("1/2",)),
+        graph(4, "3/2", 2, ("3/2",)),
     ]
     assert all(any(are_equivalent(g, e) for e in expected) for g in graphs)
 

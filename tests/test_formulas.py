@@ -15,10 +15,10 @@ from hamcircle import (
     count_actions,
     count_equal_sizes,
     count_ruled,
-    indicator,
     max_count,
     max_count_conditions,
 )
+from hamcircle.formulas import indicator
 
 T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 

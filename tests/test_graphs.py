@@ -26,48 +26,48 @@ def graph(bottom, top, height, *chains, genus=1):
         FatVertex(F(bottom), genus),
         FatVertex(F(top), genus),
         F(height),
-        tuple(Chain(tuple(F(h) for h in hs), tuple(labels)) for hs, labels in chains),
+        tuple(map(Chain, chains)),
     )
 
 
-def chain(*heights, labels=()):
-    return Chain(tuple(F(h) for h in heights), tuple(labels))
+def chain(*seq):
+    return Chain(seq)
 
 
 RULED = graph(3, 3, 3)
-ONE_CHAIN = graph("3/4", 1, 1, (("1/4",), ()))
+ONE_CHAIN = graph("3/4", 1, 1, ("1/4",))
 
 
 # --- chain orders -------------------------------------------------------------
 #
-# A graph stores its chains in start order; the end order is the start order
+# A graph stores its chains sorted by ``seq``; the end order is the start order
 # of the flip.
 
 
 def test_compare_by_start_orders_by_first_height():
-    assert graph(1, 1, 1, (("1/4",), ()), (("1/16",), ())).chains == (chain("1/16"), chain("1/4"))
+    assert graph(1, 1, 1, ("1/4",), ("1/16",)).chains == (chain("1/16"), chain("1/4"))
 
 
 def test_compare_by_start_equal_chains():
-    a = chain("3/16", "5/16", labels=(2,))
-    g = graph(1, 1, 1, (("3/16", "5/16"), (2,)), (("3/16", "5/16"), (2,)))
+    a = chain("3/16", 2, "5/16")
+    g = graph(1, 1, 1, ("3/16", 2, "5/16"), ("3/16", 2, "5/16"))
     assert g.chains == (a, a)
 
 
 def test_compare_by_start_prefix_sorts_first():
     shorter = chain("1/4")
-    longer = chain("1/4", "1/2", labels=(1,))
+    longer = chain("1/4", 1, "1/2")
     assert DecoratedGraph(FatVertex(1), FatVertex(1), F(1), (longer, shorter)).chains == (shorter, longer)
 
 
 def test_compare_by_end_uses_distance_from_top():
     # distances from the top are 1/16 and 3/4, so the high chain comes first after a flip
-    g = graph(1, 1, 1, (("1/4",), ()), (("15/16",), ()))
+    g = graph(1, 1, 1, ("1/4",), ("15/16",))
     assert flip(g).chains == (chain("1/16"), chain("3/4"))
 
 
 def test_by_end_is_by_start_of_the_flip():
-    g = graph(1, 2, 1, (("1/4", "1/2"), (3,)), (("1/8",), ()), (("1/2",), ()))
+    g = graph(1, 2, 1, ("1/4", 3, "1/2"), ("1/8",), ("1/2",))
     assert class_key(flip(g)) == class_key(g)
 
 
@@ -84,7 +84,7 @@ def test_flip_swaps_areas():
 
 
 def test_flip_complements_heights():
-    assert flip(ONE_CHAIN) == graph(1, "3/4", 1, (("3/4",), ()))
+    assert flip(ONE_CHAIN) == graph(1, "3/4", 1, ("3/4",))
 
 
 @given(valid_graphs())
@@ -110,11 +110,11 @@ def test_flip_rejects_invalid_graphs():
 
 
 def test_key_examples():
-    assert class_key(graph(2, 4, 1, (("1/2",), ()))) == (F(2), F(4), F(1), ((F(1, 2),),))
-    assert class_key(graph(4, 2, 1, (("1/4",), ()))) == (F(2), F(4), F(1), ((F(3, 4),),))
+    assert class_key(graph(2, 4, 1, ("1/2",))) == (F(2), F(4), F(1), ((F(1, 2),),))
+    assert class_key(graph(4, 2, 1, ("1/4",))) == (F(2), F(4), F(1), ((F(3, 4),),))
     assert class_key(RULED) == (F(3), F(3), F(3), ())
     # equal fat areas: the flip decides by the chains, here the lower one
-    assert class_key(graph(1, 1, 1, (("3/4",), ()))) == (F(1), F(1), F(1), ((F(1, 4),),))
+    assert class_key(graph(1, 1, 1, ("3/4",))) == (F(1), F(1), F(1), ((F(1, 4),),))
 
 
 # --- validation ---------------------------------------------------------------
@@ -125,27 +125,27 @@ def test_validate_accepts_ruled_graph():
 
 
 def test_validate_rejects_vertex_at_the_top():
-    bad = graph(1, 1, 1, ((1,), ()))
+    bad = graph(1, 1, 1, ("1",))
     report = validate(bad)
     assert not report.valid
     assert "chain_0_below_top" in report.violations
 
 
 def test_validate_rejects_non_increasing_heights():
-    bad = graph(1, 1, 1, (("1/4", "1/8"), (1,)))
+    bad = graph(1, 1, 1, ("1/4", 1, "1/8"))
     report = validate(bad)
     assert "chain_0_heights_increasing" in report.violations
 
 
 def test_validate_rejects_non_coprime_adjacent_labels():
-    bad = graph(1, 1, 1, (("1/8", "1/4", "1/2"), (2, 2)))
+    bad = graph(1, 1, 1, ("1/8", 2, "1/4", 2, "1/2"))
     assert any("coprime" in v for v in validate(bad).violations)
 
 
 def test_validate_allows_equal_heights_across_chains():
     # distinct chains may carry vertices at the same height; this arises from
     # half-fiber blowups taken once from each fat vertex
-    g = graph(1, 1, 2, ((1,), ()), ((1,), ()))
+    g = graph(1, 1, 2, ("1",), ("1",))
     assert validate(g).valid
 
 
@@ -158,12 +158,12 @@ def test_are_same_on_a_copy():
 
 
 def test_are_same_sees_different_chains():
-    other = graph("3/4", 1, 1, (("1/16",), ()))
+    other = graph("3/4", 1, 1, ("1/16",))
     assert ONE_CHAIN != other
 
 
 def test_are_same_ignores_chain_labelling_order():
-    g1 = graph(1, 2, 1, (("1/4",), ()), (("1/2",), ()))
+    g1 = graph(1, 2, 1, ("1/4",), ("1/2",))
     g2 = permute_chains(g1, (1, 0))
     assert g1 == g2
 
@@ -178,8 +178,8 @@ def test_are_reflection_of_the_flip():
 
 
 def test_are_reflection_explicit_pair():
-    assert flip(ONE_CHAIN) == graph(1, "3/4", 1, (("3/4",), ()))
-    assert flip(ONE_CHAIN) != graph(1, "3/4", 1, (("1/2",), ()))
+    assert flip(ONE_CHAIN) == graph(1, "3/4", 1, ("3/4",))
+    assert flip(ONE_CHAIN) != graph(1, "3/4", 1, ("1/2",))
 
 
 def test_are_equivalent_basics():
@@ -190,8 +190,8 @@ def test_are_equivalent_basics():
 def test_are_equivalent_distinguishes_second_stage_graphs():
     # two of the three graphs reached from (1,1;1/4,1/16): fat blowup at the
     # bottom vs fat blowup at the top of the one-chain stage-1 graph
-    a = graph("11/16", 1, 1, (("1/4",), ()), (("1/16",), ()))
-    b = graph("3/4", "15/16", 1, (("1/4",), ()), (("15/16",), ()))
+    a = graph("11/16", 1, 1, ("1/4",), ("1/16",))
+    b = graph("3/4", "15/16", 1, ("1/4",), ("15/16",))
     assert not are_equivalent(a, b)
 
 
@@ -241,7 +241,7 @@ def test_equivalence_agrees_with_bijection_oracle(pair):
 
 
 def test_json_dict_shape():
-    data = to_json_dict(graph("3/4", 1, 1, (("3/16", "5/16"), (2,))))
+    data = to_json_dict(graph("3/4", 1, 1, ("3/16", 2, "5/16")))
     assert data == {
         "height": "1",
         "genus": 1,
@@ -266,14 +266,58 @@ def test_byte_equality_matches_are_same(pair):
 
 
 def test_mirror_helper_agrees_with_flip():
-    g = graph(1, 2, 1, (("1/4", "1/2"), (3,)), (("1/8",), ()))
+    g = graph(1, 2, 1, ("1/4", 3, "1/2"), ("1/8",))
     assert mirror(g) == flip(g)
 
 
-def test_start_key_is_built_once_and_stays_out_of_equality_hash_and_repr():
-    c = Chain((F(1, 4), F(1, 2)), (2,))
-    assert c.start_key == (F(1, 4), 2, F(1, 2))
-    assert c.start_key is c.start_key
-    assert "start_key" not in repr(c)
-    assert {f.name for f in dataclasses.fields(c) if f.compare or f.hash} == {"heights", "labels"}
-    assert c == Chain((F(1, 4), F(1, 2)), (2,)) and hash(c) == hash(Chain((F(1, 4), F(1, 2)), (2,)))
+def test_a_chain_is_its_sequence():
+    c = Chain(("1/4", 2, "1/2"))
+    assert [f.name for f in dataclasses.fields(Chain)] == ["seq"]
+    assert c.seq == (F(1, 4), 2, F(1, 2))
+    assert c.heights == (F(1, 4), F(1, 2)) and c.labels == (2,)
+    assert c == Chain((F(1, 4), 2, F(1, 2)))
+    assert c != Chain((F(1, 4), 3, F(1, 2))) and c != Chain((F(1, 4),))
+    assert hash(c) == hash((c.seq,))
+    assert repr(c) == f"Chain(seq={c.seq!r})"
+
+
+@pytest.mark.parametrize(
+    "seq, error",
+    [
+        ((), ValueError),
+        ((F(1, 4), 2), ValueError),
+        ((F(1, 4), 2, F(1, 2), 3), ValueError),
+        ((F(1, 4), "2", F(1, 2)), TypeError),
+    ],
+)
+def test_chain_refuses_a_malformed_sequence(seq, error):
+    with pytest.raises(error):
+        Chain(seq)
+
+
+JSON_GRAPH = {"height": "1", "genus": 1, "bottom_area": "1", "top_area": "1/2", "chains": [["1/4", 2, "1/2"]]}
+
+
+def test_json_values_go_through_the_constructors():
+    with pytest.raises((TypeError, ValueError)):
+        graph_from_json_dict(
+            {"height": 1.1, "genus": 1.9, "bottom_area": "1", "top_area": 0.3, "chains": [["1/4", 2.7, 0.5]]}
+        )
+    assert graph_from_json_dict(JSON_GRAPH) == graph(1, "1/2", 1, ("1/4", 2, "1/2"))
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("height", 1.1, TypeError),
+        ("genus", 1.9, ValueError),
+        ("genus", "1", ValueError),
+        ("bottom_area", 0.5, TypeError),
+        ("top_area", 0.3, TypeError),
+        ("chains", [["1/4", 2.7, "1/2"]], TypeError),
+        ("chains", [["1/4", 2, 0.5]], TypeError),
+    ],
+)
+def test_json_refuses_floats_and_truncation(field, value, error):
+    with pytest.raises(error):
+        graph_from_json_dict({**JSON_GRAPH, field: value})
