@@ -13,9 +13,10 @@ Subcommands::
     hamcircle invariants -v "2,1;1"                   volume, width, packing, minimal classes
 
 Exit codes: 0 success, 1 the vector does not encode a blowup form (or was
-rejected under --no-reduce), 2 usage or I/O error or input beyond
-MAX_SCALAR_DIGITS, MAX_VECTOR_DIGITS or MAX_TWISTS, 3 internal consistency
-failure between the enumerator and a closed-form count.
+rejected under --no-reduce), 2 usage or I/O error, input beyond
+MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or a reduced vector with more twists
+than enumeration.MAX_TWISTS, 3 internal consistency failure between the
+enumerator and a closed-form count.
 
 All numeric output is exact; decimal approximations appear only in fields
 named "approx".
@@ -28,7 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .enumeration import CountReport, count_actions, enumerate_actions
+from .enumeration import CountReport, TooManyTwistsError, count_actions, enumerate_actions
 from .formulas import count_equal_sizes, count_ruled
 from .graphs import DecoratedGraph, to_json_dict
 from .vectors import (
@@ -42,7 +43,6 @@ from .vectors import (
     gromov_width,
     is_g_reduced,
     packing_number,
-    require_cone,
     volume,
 )
 
@@ -58,8 +58,6 @@ MAX_SCALAR_DIGITS = 100
 # Most digits the numerators and denominators of a whole vector may have
 # together, so that sums and products over many deltas stay printable.
 MAX_VECTOR_DIGITS = 1000
-# Most ruled-surface graphs (one per twist) that count and enumerate will seed.
-MAX_TWISTS = 10**5
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -165,11 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     v = args.vector
-    if v.k < 2:
-        require_cone(v)
-        steps = (v,)
-    else:
-        steps = cremona_reduce(v).steps
+    steps = cremona_reduce(v).steps
     reduced = steps[-1]
     if args.format == "json":
         payload = {
@@ -199,25 +193,11 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
     return None, "no closed form applies (unequal sizes or 2*delta > lambda_f)"
 
 
-def _too_many_twists(v: BlowupVector) -> bool:
-    """Refuse, with a message, a cone vector with more than MAX_TWISTS ruled-surface graphs.
-
-    Cremona reduction only lowers lambda_b, so the input bounds the reduced vector.
-    """
-    require_cone(v)
-    twists = count_ruled(v.lambda_f, v.lambda_b, v.bundle)
-    if twists > MAX_TWISTS:
-        print(f"error: {twists} twists exceed the limit of {MAX_TWISTS}", file=sys.stderr)
-    return twists > MAX_TWISTS
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     v = args.vector
-    if args.no_reduce and v.k >= 2 and not is_g_reduced(v):
+    if args.no_reduce and not is_g_reduced(v):
         print("error: vector is not g-reduced and --no-reduce was given", file=sys.stderr)
         return EXIT_DOMAIN
-    if _too_many_twists(v):
-        return EXIT_USAGE
     report = count_actions(v)
     formula_value: int | None = None
     formula_kind = ""
@@ -250,8 +230,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if _too_many_twists(args.vector):
-        return EXIT_USAGE
     graphs, report = enumerate_actions(args.vector)
     if args.format == "dot":
         return _emit(to_dot(graphs), args.out)
@@ -265,11 +243,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     v = args.vector
     width = gromov_width(v)
     packing = packing_number(v)
-    emin_vector = v
-    emin_notice = ""
-    if v.k >= 2 and not is_g_reduced(v):
-        emin_vector = cremona_reduce(v).vector
-        emin_notice = f" (computed on auto-reduced {format_vector(emin_vector)})"
+    emin_vector = cremona_reduce(v).vector
+    emin_notice = f" (computed on auto-reduced {format_vector(emin_vector)})" if emin_vector != v else ""
     minimal = emin(emin_vector) if v.k >= 1 else None
     if args.format == "json":
         payload = {
@@ -373,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotBlowupFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except TooManyTwistsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -9,7 +9,9 @@ vertical translation and flip after every stage.  The store is a dict keyed by
 
 Inputs with unsorted or defect-positive deltas are first brought to reduced
 form: the count only depends on the symplectomorphism class, and the staged
-search is only correct for reduced vectors.
+search is only correct for reduced vectors.  The reduced vector may seed at
+most ``MAX_TWISTS`` ruled-surface graphs, one per twist; a run past that bound
+is refused before it starts.
 
 Every height and area the stages produce is an integer combination of
 lambda_f/2, lambda_b and the deltas.  A run therefore multiplies the reduced
@@ -30,15 +32,14 @@ from typing import Iterable, Iterator
 
 from .blowups import all_blowups
 from .graphs import Chain, DecoratedGraph, FatVertex, canonical_sort_key, class_key
-from .vectors import (
-    BlowupVector,
-    BundleType,
-    as_exact,
-    as_q,
-    cremona_reduce,
-    is_g_reduced,
-    require_cone,
-)
+from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
+
+# Most ruled-surface graphs (one per twist) that a run will seed.
+MAX_TWISTS = 10**5
+
+
+class TooManyTwistsError(ValueError):
+    """The ruled surface has more admissible twists than ``MAX_TWISTS``."""
 
 
 class GraphStore:
@@ -73,12 +74,17 @@ def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -
     on the trivial bundle, odd on the non-trivial one.
 
     A twist is admissible exactly while the top fat area lambda_b - (n/2)*lambda_f
-    stays positive.
+    stays positive.  More than ``MAX_TWISTS`` of them raise ``TooManyTwistsError``.
     """
     lf, lb = as_q(lambda_f), as_q(lambda_b)
     if lf <= 0 or lb <= 0:
         raise ValueError("lambda_f and lambda_b must be positive")
-    return list(range(0 if bundle is BundleType.TRIVIAL else 1, math.ceil(2 * lb / lf), 2))
+    start, stop = (0 if bundle is BundleType.TRIVIAL else 1), math.ceil(2 * lb / lf)
+    # counted arithmetically, since len(range(...)) overflows past sys.maxsize
+    twists = (stop - start + 1) // 2
+    if twists > MAX_TWISTS:
+        raise TooManyTwistsError(f"{twists} twists exceed the limit of {MAX_TWISTS}")
+    return list(range(start, stop, 2))
 
 
 def initial_graphs(
@@ -123,9 +129,12 @@ class CountReport:
 
     input_vector: BlowupVector
     reduced_vector: BlowupVector
-    auto_reduced: bool
     initial_twists: tuple[int, ...]
     stage_counts: tuple[int, ...]
+
+    @property
+    def auto_reduced(self) -> bool:
+        return self.reduced_vector != self.input_vector
 
     @property
     def count(self) -> int:
@@ -138,10 +147,7 @@ def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int]:
     The graphs are on the integer lattice: every height and area is the true
     one times the scale, which is returned last.
     """
-    require_cone(v)
-    reduced, auto = v, False
-    if v.k >= 2 and not is_g_reduced(v):
-        reduced, auto = cremona_reduce(v).vector, True
+    reduced = cremona_reduce(v).vector
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
     scale = 2 * math.lcm(*(q.denominator for q in values))
     lf, lb, *deltas = (q.numerator * (scale // q.denominator) for q in values)
@@ -153,15 +159,16 @@ def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int]:
     for delta in deltas:
         store = blowup_stage(store, delta)
         counts.append(len(store))
-    return store, CountReport(v, reduced, auto, twists, tuple(counts)), scale
+    return store, CountReport(v, reduced, twists, tuple(counts)), scale
 
 
 def count_actions(v: BlowupVector) -> CountReport:
     """Count the circle actions compatible with the blowup form encoded by ``v``.
 
-    Rejects vectors outside the cone.  Non-reduced input (k >= 2) is reduced
-    first and flagged; the count is an invariant of the symplectomorphism
-    class, so this does not change the answer.
+    Rejects vectors outside the cone, and those whose reduced vector has more
+    than ``MAX_TWISTS`` twists.  Non-reduced input is reduced first and flagged;
+    the count is an invariant of the symplectomorphism class, so this does not
+    change the answer.
     """
     return _staged_run(v)[1]
 

@@ -48,6 +48,8 @@ class Chain:
     seq: tuple
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seq, (tuple, list)):
+            raise TypeError(f"a chain is a tuple or list of heights and labels, not {self.seq!r}")
         seq = list(self.seq)
         if len(seq) % 2 == 0:
             raise ValueError("a chain alternates vertices and edges: v0, e1, v1, ..., vm, at least one vertex")

@@ -161,14 +161,18 @@ def cremona_move(v: BlowupVector) -> BlowupVector:
 
 @dataclass(frozen=True)
 class ReduceResult:
-    """Reduced vector plus the trace of every intermediate vector.
+    """The trace of every vector from the input to its reduced form.
 
     ``steps[0]`` is the sorted input; each further entry is the outcome of one
-    move of the loop, so ``iterations == len(steps) - 1``.
+    move of the loop, so ``iterations == len(steps) - 1``, and the last entry
+    is the reduced ``vector``.
     """
 
-    vector: BlowupVector
     steps: tuple[BlowupVector, ...]
+
+    @property
+    def vector(self) -> BlowupVector:
+        return self.steps[-1]
 
     @property
     def iterations(self) -> int:
@@ -182,17 +186,14 @@ def cremona_reduce(v: BlowupVector) -> ReduceResult:
     positive.  Each move preserves lambda_f and the volume, every delta that
     ever appears lies in the finite set {d_i} U {lambda_f - d_i} of the input,
     and the sorted delta tuples strictly decrease, so the loop terminates.
-    Only vectors inside the cone are accepted.
+    Every vector inside the cone is accepted; one with k <= 1 is its own
+    normal form.
     """
-    if v.k < 2:
-        raise ValueError("normal-form reduction needs at least two blowups")
     require_cone(v)
-    current = sort_deltas(v)
-    steps = [current]
-    while defect(current) > 0:
-        current = sort_deltas(cremona(current))
-        steps.append(current)
-    return ReduceResult(current, tuple(steps))
+    steps = [sort_deltas(v)]
+    while not is_g_reduced(steps[-1]):
+        steps.append(sort_deltas(cremona(steps[-1])))
+    return ReduceResult(tuple(steps))
 
 
 def is_g_reduced(v: BlowupVector) -> bool:
@@ -305,7 +306,7 @@ def emin(v: BlowupVector) -> EminResult:
     if v.k < 1:
         raise ValueError("no exceptional classes without blowups")
     require_cone(v)
-    if v.k >= 2 and not is_g_reduced(v):
+    if not is_g_reduced(v):
         raise ValueError("minimal-area classification needs a reduced vector; reduce first")
     half = v.lambda_f / 2
     d1, dk = v.deltas[0], v.deltas[-1]
@@ -354,7 +355,11 @@ def gromov_width(v: BlowupVector) -> GromovWidth:
     by_fiber = v.lambda_f * v.lambda_f
     capped = by_fiber <= by_volume
     squared = by_fiber if capped else by_volume
-    return GromovWidth(squared, capped, math.sqrt(squared))
+    # squared may lie beyond the float range while its root does not.  Dividing
+    # by 4**shift and multiplying the root by 2**shift are exact in floating point,
+    # so where float(squared) fits this is bit for bit math.sqrt(squared).
+    shift = max(0, squared.numerator.bit_length() - squared.denominator.bit_length()) // 2
+    return GromovWidth(squared, capped, math.ldexp(math.sqrt(squared / 4**shift), shift))
 
 
 def packing_number(v: BlowupVector) -> int:

@@ -197,8 +197,7 @@ def test_criterion_10_emin_classification():
         rng = random.Random(101010)
         for _ in range(500):
             v = random_cone_vector(rng, k=rng.randint(1, 8), pad_fibers=3)
-            if v.k >= 2:
-                v = cremona_reduce(v).vector
+            v = cremona_reduce(v).vector
             result = emin(v)
             got = {("F-E" if c.fiber_complement else "E", c.index) for c in result.classes}
             assert got == brute_force_min_classes(v)

@@ -1,6 +1,7 @@
 """The command-line interface: parsing, outputs, exit codes, determinism."""
 
 import json
+import math
 import time
 from fractions import Fraction as F
 
@@ -13,12 +14,12 @@ from hamcircle.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_SCALAR_DIGITS,
-    MAX_TWISTS,
     MAX_VECTOR_DIGITS,
     format_vector,
     main,
     parse_vector,
 )
+from hamcircle.enumeration import MAX_TWISTS
 
 
 def run(capsys, *argv):
@@ -248,9 +249,9 @@ def test_too_many_twists_is_a_usage_error(capsys, argv):
 
 
 def test_twist_limit_is_inclusive(capsys, monkeypatch):
-    import hamcircle.cli as cli
+    import hamcircle.enumeration as enumeration
 
-    monkeypatch.setattr(cli, "MAX_TWISTS", 3)
+    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
     code, out, _ = run(capsys, "count", "-v", "1,3")
     assert code == EXIT_OK and "actions: 3" in out
     code, _, err = run(capsys, "enumerate", "-v", "1,7/2")
@@ -348,6 +349,18 @@ def test_invariants_json(capsys):
     assert payload["volume"] == "7/2"
     assert payload["emin"]["classes"] == ["E2"]
     assert payload["emin"]["case"] == "case1a"
+
+
+def test_invariants_width_beyond_the_float_range(capsys):
+    # within both digit bounds, yet the squared width is about 1e392
+    big = f"{'9' * 96}e100"
+    code, out, err = run(capsys, "invariants", "-v", f"{big},{big}")
+    assert code == EXIT_OK and err == ""
+    approx = out.partition("(capped by fiber, approx ")[2].partition(")")[0]
+    assert math.isclose(float(approx), float(F(big)))
+    code, out, err = run(capsys, "invariants", "-v", f"{big},{big}", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert math.isclose(json.loads(out)["width_approx"], float(F(big)))
 
 
 # --- parser-level behaviour --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The staged enumeration: seeding, stages, dedup, and count invariances."""
 
 import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from hamcircle import (
     FatVertex,
     GraphStore,
     NotBlowupFormError,
+    TooManyTwistsError,
     all_blowups,
     are_equivalent,
     blowup_stage,
@@ -172,6 +174,37 @@ def test_count_auto_reduces_and_flags():
     assert crooked.auto_reduced and not straight.auto_reduced
     assert crooked.reduced_vector == straight.reduced_vector == BlowupVector(3, 2, (1, 1))
     assert crooked.count == straight.count
+
+
+@given(cone_vectors(min_k=0, max_k=3, small=True))
+@settings(max_examples=40, deadline=None)
+def test_count_flags_exactly_the_non_reduced_vectors(v):
+    assert count_actions(v).auto_reduced == (not is_g_reduced(v))
+
+
+def test_library_twist_bound():
+    for v in (BlowupVector(1, 10**30), BlowupVector(1, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(TooManyTwistsError, match="twists exceed the limit of 100000"):
+            count_actions(v)
+        assert time.perf_counter() - start < 1
+
+
+def test_library_twist_bound_is_inclusive_and_applies_after_reduction(monkeypatch):
+    import hamcircle.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
+    assert initial_twists(1, 3, T) == [0, 2, 4]
+    assert initial_twists(1, F(7, 2), NT) == [1, 3, 5]
+    with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
+        initial_twists(1, F(7, 2), T)
+    assert count_actions(BlowupVector(1, 3)).count == 3
+    with pytest.raises(TooManyTwistsError):
+        enumerate_actions(BlowupVector(1, F(7, 2)))
+    # two twists before reduction, one after
+    monkeypatch.setattr(enumeration, "MAX_TWISTS", 1)
+    report = count_actions(BlowupVector(1, F(3, 2), (F(9, 10), F(9, 10))))
+    assert report.auto_reduced and report.initial_twists == (0,)
 
 
 def test_count_k0_matches_the_initial_graphs():

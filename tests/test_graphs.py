@@ -316,6 +316,9 @@ def test_json_values_go_through_the_constructors():
         ("top_area", 0.3, TypeError),
         ("chains", [["1/4", 2.7, "1/2"]], TypeError),
         ("chains", [["1/4", 2, 0.5]], TypeError),
+        ("chains", "5", TypeError),
+        ("chains", ["5"], TypeError),
+        ("chains", [{"5": 2}], TypeError),
     ],
 )
 def test_json_refuses_floats_and_truncation(field, value, error):

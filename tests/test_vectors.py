@@ -164,9 +164,17 @@ def test_reduce_rejects_non_cone_vectors():
         cremona_reduce(bv(4, 1, 3, 1))
 
 
-def test_reduce_needs_two_blowups():
-    with pytest.raises(ValueError):
-        cremona_reduce(bv(2, 1, 1))
+def test_reduce_k_at_most_one_is_its_own_normal_form():
+    for v in (bv(2, 1), bv(2, 1, 1), bv(2, 1, F(3, 2), bundle=NT)):
+        assert cremona_reduce(v).steps == (v,)
+
+
+@given(cone_vectors(min_k=0))
+@settings(max_examples=150)
+def test_reduce_moves_exactly_the_non_reduced_vectors(v):
+    reduced = cremona_reduce(v).vector
+    assert is_g_reduced(reduced)
+    assert (reduced == v) == is_g_reduced(v)
 
 
 @given(cone_vectors(min_k=2))
@@ -234,10 +242,9 @@ def test_swap_bundle_preserves_volume_and_cone_and_toggles(v):
 
 @given(cone_vectors(min_k=1))
 def test_swap_bundle_is_an_involution_on_reduced_vectors(v):
-    v = cremona_reduce(v).vector if v.k >= 2 else v
+    v = cremona_reduce(v).vector
     swapped = swap_bundle(v)
-    if v.k >= 2:
-        assert is_g_reduced(swapped)
+    assert is_g_reduced(swapped)
     assert swap_bundle(swapped) == v
 
 
@@ -305,7 +312,7 @@ def test_emin_hits_every_case(vector, case, expected):
 @given(cone_vectors(min_k=1))
 @settings(max_examples=200)
 def test_emin_agrees_with_brute_force(v):
-    v = cremona_reduce(v).vector if v.k >= 2 else v
+    v = cremona_reduce(v).vector
     result = emin(v)
     got = {("F-E" if c.fiber_complement else "E", c.index) for c in result.classes}
     assert got == brute_force_min_classes(v)
