@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .enumeration import CountReport, TooManyTwistsError, count_actions, enumerate_actions
-from .formulas import count_equal_sizes, count_ruled
+from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
 from .graphs import DecoratedGraph, to_json_dict
 from .vectors import (
     BlowupVector,
@@ -190,6 +190,8 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
     if len(set(w.deltas)) == 1 and 2 * w.deltas[0] <= w.lambda_f:
         value = count_equal_sizes(w.lambda_f, w.lambda_b, w.deltas[0], w.k, w.bundle)
         return value, "equal sizes"
+    if w.bundle is BundleType.TRIVIAL and max_count_conditions(w):
+        return max_count(w.lambda_f, w.lambda_b, w.k), "max_count"
     return None, "no closed form applies (unequal sizes or 2*delta > lambda_f)"
 
 

@@ -9,9 +9,9 @@ vertical translation and flip after every stage.  The store is a dict keyed by
 
 Inputs with unsorted or defect-positive deltas are first brought to reduced
 form: the count only depends on the symplectomorphism class, and the staged
-search is only correct for reduced vectors.  The reduced vector may seed at
-most ``MAX_TWISTS`` ruled-surface graphs, one per twist; a run past that bound
-is refused before it starts.
+search is only correct for reduced vectors.  The reduced vector may have at
+most ``MAX_TWISTS`` twists, which every report lists; a run past that bound is
+refused before it builds a graph.
 
 Every height and area the stages produce is an integer combination of
 lambda_f/2, lambda_b and the deltas.  A run therefore multiplies the reduced
@@ -20,6 +20,45 @@ integers, runs the seeding and every stage on plain ints, and divides by the
 scale only when ``enumerate_actions`` hands out the sorted graphs.  A positive
 scale preserves every comparison, so the sites tried, the representative each
 class keeps and the output order are those of the same run in Fractions.
+
+``count_actions`` does not build every twist: past the onset
+lambda_b - lambda_f > S, where S is the sum of the deltas of the reduced
+vector, each stage count is affine in lambda_b.  Write L for lambda_b and
+N(L) for the number of stage-j graphs at L with top area at most lambda_f.
+
+- A fat blowup needs delta below the fat area and below the height
+  lambda_f; an interior blowup never looks at the fat areas.  Areas only
+  shrink, so a sequence of moves is valid from the twist-n seed exactly when
+  its interior sites are valid and both final fat areas are positive.  The
+  twist n enters only there: a stage-j graph is (L + n*lambda_f/2 - a,
+  L - n*lambda_f/2 - b, chains) for one twist-free set of shapes
+  (a, b, chains) with a + b <= S.  The seed of twist -n is the flip of the
+  seed of twist n and blowups commute with the flip, so the stage-j count is
+  the number of flip classes of these graphs over every twist n of the
+  bundle's parity.
+- Adding lambda_f to both fat areas maps the stage-j graphs at L injectively
+  into those at L + lambda_f, and commutes with the flip.  Its image is the
+  graphs whose fat areas both exceed lambda_f, so raising L by lambda_f adds
+  exactly the classes with a fat area in (0, lambda_f].  Past the onset the
+  two areas sum to 2L + 2*lambda_f - a - b > 2*lambda_f, so exactly one
+  member of each new class has top area at most lambda_f: the count grows by
+  N(L + lambda_f).
+- Equal graphs share their top area, so the store counts a new class by its
+  top area exactly when it keeps that member.  It keeps it when
+  L - lambda_f > S: the other member has bottom area
+  L + n*lambda_f/2 - a <= lambda_f with n >= 0, which needs L - lambda_f <= S.
+- The shift n -> n+2 adds 2*lambda_f to the bottom area and keeps the top,
+  so it maps the graphs counted by N(L) injectively into those counted by
+  N(L + lambda_f).  It is onto when 2L > S + lambda_f, so past the onset:
+  the preimage of such a graph at L + lambda_f has bottom area
+  2L - a - b - top >= 2L - S - lambda_f > 0.
+
+So when L - (t+1)*lambda_f > S, every stage count at L is the one of the run
+with lambda_b lowered to L - t*lambda_f, plus t times the number of its
+stored graphs with top area at most lambda_f.  ``count_actions`` takes the
+largest such t >= 0, so it builds about 2*(S/lambda_f + 2) twists whatever
+lambda_b is; ``enumerate_actions``, whose output lists every graph, runs
+with t = 0.
 """
 
 from __future__ import annotations
@@ -141,24 +180,33 @@ class CountReport:
         return self.stage_counts[-1]
 
 
-def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int]:
+def _staged_run(v: BlowupVector, extrapolate: bool) -> tuple[GraphStore, CountReport, int]:
     """Seed the store with the ruled-surface graphs, then run one blowup stage per delta.
 
-    The graphs are on the integer lattice: every height and area is the true
-    one times the scale, which is returned last.
+    With ``extrapolate`` the stores hold the run with lambda_b lowered by the
+    most whole fibers t that keep it past the onset, and the stage counts are
+    carried back to the true lambda_b as the module docstring shows; without
+    it t = 0 and the stores hold every graph.  The graphs are on the integer
+    lattice: every height and area is the true one times the scale, which is
+    returned last.
     """
     reduced = cremona_reduce(v).vector
+    twists = tuple(initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle))
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
     scale = 2 * math.lcm(*(q.denominator for q in values))
     lf, lb, *deltas = (q.numerator * (scale // q.denominator) for q in values)
-    store = GraphStore(initial_graphs(lf, lb, reduced.bundle, reduced.genus))
-    # Seeds of distinct twists are never equivalent, so the store holds every
-    # seed in twist order; the fat areas of the seed of twist n differ by n * lambda_f.
-    twists = tuple((g.bottom.area - g.top.area) // lf for g in store)
-    counts = [len(store)]
+    # the largest t >= 0 with lb - (t+1)*lf > sum(deltas)
+    t = max(0, (lb - sum(deltas) - 1) // lf - 1) if extrapolate else 0
+    store = GraphStore(initial_graphs(lf, lb - t * lf, reduced.bundle, reduced.genus))
+
+    def count(stage: GraphStore) -> int:
+        # each of the t fibers adds one class per stored graph with top area <= lf
+        return len(stage) + (t and t * sum(g.top.area <= lf for g in stage))
+
+    counts = [count(store)]
     for delta in deltas:
         store = blowup_stage(store, delta)
-        counts.append(len(store))
+        counts.append(count(store))
     return store, CountReport(v, reduced, twists, tuple(counts)), scale
 
 
@@ -168,14 +216,16 @@ def count_actions(v: BlowupVector) -> CountReport:
     Rejects vectors outside the cone, and those whose reduced vector has more
     than ``MAX_TWISTS`` twists.  Non-reduced input is reduced first and flagged;
     the count is an invariant of the symplectomorphism class, so this does not
-    change the answer.
+    change the answer.  Past the onset the stages run on a lowered lambda_b
+    and the counts are extrapolated exactly, so the cost depends on k and
+    sum(deltas)/lambda_f, not on lambda_b/lambda_f.
     """
-    return _staged_run(v)[1]
+    return _staged_run(v, extrapolate=True)[1]
 
 
 def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountReport]:
     """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order."""
-    store, report, scale = _staged_run(v)
+    store, report, scale = _staged_run(v, extrapolate=False)
     graphs = sorted(store, key=canonical_sort_key)
     del store
     # Back from the lattice: each value, fat vertex and chain is converted once

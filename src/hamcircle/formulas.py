@@ -148,11 +148,9 @@ def max_count_conditions(v: BlowupVector) -> bool:
     total = sum(d, start=Fraction(0))
     if not total < v.lambda_f:
         return False
-    i = 0
-    while v.lambda_b - i * v.lambda_f > 0:
-        if not total < v.lambda_b - i * v.lambda_f:
-            return False
-        i += 1
+    # the initial top fat areas are lambda_b - i*lambda_f while positive; the last is the least
+    if not total < v.lambda_b - (math.ceil(v.lambda_b / v.lambda_f) - 1) * v.lambda_f:
+        return False
     for j in range(1, v.k + 1):
         if not sum(d[j:], start=Fraction(0)) < d[j - 1]:
             return False

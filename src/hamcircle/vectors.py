@@ -357,9 +357,14 @@ def gromov_width(v: BlowupVector) -> GromovWidth:
     squared = by_fiber if capped else by_volume
     # squared may lie beyond the float range while its root does not.  Dividing
     # by 4**shift and multiplying the root by 2**shift are exact in floating point,
-    # so where float(squared) fits this is bit for bit math.sqrt(squared).
+    # so where float(squared) fits this is bit for bit math.sqrt(squared).  A root
+    # beyond the float range itself is approximated by inf.
     shift = max(0, squared.numerator.bit_length() - squared.denominator.bit_length()) // 2
-    return GromovWidth(squared, capped, math.ldexp(math.sqrt(squared / 4**shift), shift))
+    try:
+        approx = math.ldexp(math.sqrt(squared / 4**shift), shift)
+    except OverflowError:
+        approx = math.inf
+    return GromovWidth(squared, capped, approx)
 
 
 def packing_number(v: BlowupVector) -> int:

@@ -98,7 +98,7 @@ def test_criterion_4_factorial_sharpness():
                 v = BlowupVector(1, lb, tuple(F(1, 4**i) for i in range(1, k + 1)))
                 expected = max_count(1, lb, k)
                 assert expected == (lb - F(1, 2)) * math.factorial(k + 1)
-                assert count_actions(v).count == expected
+                assert count_actions(v).count == len(enumerate_actions(v)[0]) == expected
         assert time.perf_counter() - t0 < 120.0
 
 
@@ -116,7 +116,7 @@ def test_criterion_5_closed_form_oracle():
             v = BlowupVector(lf, lb, (eps,) * k, bundle)
             assert check_cone(v).in_cone
             formula = count_equal_sizes(lf, lb, eps, k, bundle)
-            assert formula == count_actions(v).count
+            assert formula == count_actions(v).count == len(enumerate_actions(v)[0])
         assert time.perf_counter() - t0 < 300.0
 
 

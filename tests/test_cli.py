@@ -226,9 +226,42 @@ def test_count_crosscheck_mismatch_signals_a_bug(capsys, monkeypatch):
 
 
 def test_count_crosscheck_not_applicable_is_fine(capsys):
-    code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck")
+    # unequal sizes whose decay is too slow for the max_count conditions
+    code, out, _ = run(capsys, "count", "-v", "1,2;1/3,1/4,1/5", "--formula-crosscheck")
     assert code == EXIT_OK
     assert "no closed form applies" in out
+    # the max_count conditions are stated for the trivial bundle only
+    code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "-b", "nontrivial", "--formula-crosscheck")
+    assert code == EXIT_OK
+    assert "no closed form applies" in out
+
+
+def test_count_crosscheck_max_count_agrees(capsys):
+    code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck")
+    assert code == EXIT_OK
+    assert "actions: 9" in out and "crosscheck (max_count): 9" in out
+    code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck", "--format", "json")
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert (payload["count"], payload["formula_count"], payload["formula_kind"]) == (9, 9, "max_count")
+
+
+def test_count_crosscheck_max_count_mismatch_signals_a_bug(capsys, monkeypatch):
+    import hamcircle.cli as cli
+
+    monkeypatch.setattr(cli, "max_count", lambda *a, **k: 99)
+    code, _, err = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck")
+    assert code == EXIT_BUG
+    assert "closed form gives 99" in err
+
+
+def test_count_far_past_the_onset_is_quick(capsys):
+    # 10**5 twists: the count extrapolates from the twists near the onset
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "-v", "1,100000;1/2,1/4,1/8")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK and err == ""
+    assert "actions: 2399988" in out
 
 
 @pytest.mark.parametrize(

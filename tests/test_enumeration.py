@@ -22,7 +22,9 @@ from hamcircle import (
     are_equivalent,
     blowup_stage,
     canonical_json,
+    check_cone,
     count_actions,
+    cremona,
     cremona_move,
     cremona_reduce,
     enumerate_actions,
@@ -205,6 +207,73 @@ def test_library_twist_bound_is_inclusive_and_applies_after_reduction(monkeypatc
     monkeypatch.setattr(enumeration, "MAX_TWISTS", 1)
     report = count_actions(BlowupVector(1, F(3, 2), (F(9, 10), F(9, 10))))
     assert report.auto_reduced and report.initial_twists == (0,)
+
+
+def test_twist_bound_is_checked_before_any_graph_is_built(monkeypatch):
+    import hamcircle.enumeration as enumeration
+
+    def no_graphs(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(enumeration, "initial_graphs", no_graphs)
+    monkeypatch.setattr(enumeration, "blowup_stage", no_graphs)
+    with pytest.raises(TooManyTwistsError):
+        count_actions(BlowupVector(1, 10**6, (F(1, 2), F(1, 4))))
+    # the count would only build the twists near the onset, yet the bound is
+    # on the twists of the true reduced vector, which the report lists
+    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
+    with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
+        count_actions(BlowupVector(1, F(7, 2), (F(1, 4),)))
+
+
+@st.composite
+def onset_vectors(draw):
+    """Cone vectors whose reduced lambda_b sits at a drawn offset from the
+    extrapolation onset lambda_b - lambda_f == S = sum(deltas), a few whole
+    fibers up or down; sometimes every delta is lambda_f/2, and sometimes the
+    vector is handed over in a non-reduced encoding.
+    """
+    bundle = draw(st.sampled_from([T, NT]))
+    k = draw(st.integers(0, 3))
+    lf = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
+    if draw(st.booleans()):
+        deltas = (lf / 2,) * k
+    else:
+        # sorted with d1 + d2 <= lambda_f: reduced
+        fractions = st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32)
+        first = lf * draw(fractions)
+        rest = sorted((min(first, lf - first) * draw(fractions) for _ in range(k - 1)), reverse=True)
+        deltas = (first, *rest)[:k]
+    total = sum(deltas, start=F(0))
+    eps = lf * draw(st.fractions(min_value=F(1, 64), max_value=F(1, 4), max_denominator=64))
+    offset = draw(
+        st.one_of(
+            st.sampled_from([-eps, F(0), eps, lf]),
+            st.fractions(min_value=-lf, max_value=lf, max_denominator=16),
+        )
+    )
+    lb = total + lf + offset + draw(st.integers(-1, 3)) * lf
+    w = BlowupVector(lf, lb, deltas, bundle)
+    assume(lb > 0 and check_cone(w))
+    if k >= 2 and draw(st.booleans()):
+        moved = cremona(w)
+        return BlowupVector(moved.lambda_f, moved.lambda_b, moved.deltas[::-1], bundle)
+    return w
+
+
+@given(onset_vectors())
+@example(BlowupVector(2, 7, (1, 1, 1), T))  # lambda_b - lambda_f - S == 2 == lambda_f
+@example(BlowupVector(2, 7, (1, 1, 1), NT))
+@example(BlowupVector(1, F(37, 8), (F(1, 2),) * 3, T))  # one eps past the onset
+@example(BlowupVector(1, F(35, 8), (F(1, 2),) * 3, NT))  # one eps below it
+@example(BlowupVector(1, F(21, 4), (F(1, 2), F(3, 4)), T))  # non-reduced encoding of 1,5;1/2,1/4
+@settings(max_examples=300, deadline=None)
+def test_extrapolated_count_matches_the_full_run(v):
+    report = count_actions(v)
+    assert report == enumerate_actions(v)[1]
+    w = cremona_reduce(v).vector
+    assert report.reduced_vector == w
+    assert report.initial_twists == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
 
 
 def test_count_k0_matches_the_initial_graphs():

@@ -1,9 +1,10 @@
 """Closed-form counts against worked values and against the enumerator."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_vectors
@@ -15,6 +16,7 @@ from hamcircle import (
     count_actions,
     count_equal_sizes,
     count_ruled,
+    enumerate_actions,
     max_count,
     max_count_conditions,
 )
@@ -68,7 +70,7 @@ def test_count_ruled_needs_positive_parameters():
 @settings(max_examples=150, deadline=None)
 def test_count_ruled_matches_k0_enumeration(lf, lb, bundle):
     v = BlowupVector(lf, lb, bundle=bundle)
-    assert count_ruled(lf, lb, bundle) == count_actions(v).count
+    assert count_ruled(lf, lb, bundle) == count_actions(v).count == len(enumerate_actions(v)[0])
 
 
 # --- equal-size counts ---------------------------------------------------------------
@@ -94,7 +96,7 @@ def test_equal_sizes_half_fiber_flip_coincidence_on_the_nontrivial_bundle():
     # exactly the graphs (21/16, 35/16) ~ flip ~ (35/16, 21/16) and (49/16, 7/16)
     lf, lb, eps = F(7, 4), F(49, 16), F(7, 8)
     v = BlowupVector(lf, lb, (eps,) * 3, NT)
-    assert count_actions(v).count == 2
+    assert count_actions(v).count == len(enumerate_actions(v)[0]) == 2
     assert count_equal_sizes(lf, lb, eps, 3, NT) == 2
 
 
@@ -112,7 +114,7 @@ def test_equal_sizes_reject_non_cone_input():
 @settings(max_examples=100, deadline=None)
 def test_equal_sizes_agree_with_the_enumerator(v):
     formula = count_equal_sizes(v.lambda_f, v.lambda_b, v.deltas[0], v.k, v.bundle)
-    assert formula == count_actions(v).count
+    assert formula == count_actions(v).count == len(enumerate_actions(v)[0])
 
 
 @pytest.mark.parametrize("bundle", [T, NT])
@@ -126,11 +128,8 @@ def test_equal_sizes_half_fiber_sweep(bundle):
             v = BlowupVector(lf, lb, (eps,) * k, bundle)
             if not check_cone(v).in_cone:
                 continue
-            assert count_equal_sizes(lf, lb, eps, k, bundle) == count_actions(v).count, (
-                k,
-                lb,
-                bundle,
-            )
+            formula = count_equal_sizes(lf, lb, eps, k, bundle)
+            assert formula == count_actions(v).count == len(enumerate_actions(v)[0]), (k, lb, bundle)
 
 
 @pytest.mark.parametrize("ratio", [1, 2, 3])
@@ -140,6 +139,15 @@ def test_equal_sizes_at_integral_base_to_fiber_ratio(ratio, bundle):
     # inequalities must not double-count the boundary graph
     lf, eps, k = F(1), F(1, 4), 2
     lb = ratio * lf
+    v = BlowupVector(lf, lb, (eps,) * k, bundle)
+    formula = count_equal_sizes(lf, lb, eps, k, bundle)
+    assert formula == count_actions(v).count == len(enumerate_actions(v)[0])
+
+
+@pytest.mark.parametrize("bundle", [T, NT])
+def test_equal_sizes_far_past_the_onset(bundle):
+    # 5000 fibers: only the extrapolated count reaches this quickly
+    lf, lb, eps, k = F(1), F(5000), F(1, 2), 8
     v = BlowupVector(lf, lb, (eps,) * k, bundle)
     assert count_equal_sizes(lf, lb, eps, k, bundle) == count_actions(v).count
 
@@ -179,7 +187,8 @@ def test_conditions_are_stated_for_the_trivial_bundle():
 @given(cone_vectors(min_k=1, max_k=3, small=True, bundles=(T,)))
 @settings(max_examples=30, deadline=None)
 def test_max_count_bounds_the_enumerator(v):
-    assert count_actions(v).count <= max_count(v.lambda_f, v.lambda_b, v.k)
+    bound = max_count(v.lambda_f, v.lambda_b, v.k)
+    assert count_actions(v).count == len(enumerate_actions(v)[0]) <= bound
 
 
 @pytest.mark.parametrize("lb", [1, 2])
@@ -187,4 +196,68 @@ def test_max_count_bounds_the_enumerator(v):
 def test_sharpness_for_quarter_powers(lb, k):
     v = BlowupVector(1, lb, tuple(F(1, 4**i) for i in range(1, k + 1)))
     assert max_count_conditions(v)
-    assert count_actions(v).count == max_count(1, lb, k)
+    assert count_actions(v).count == len(enumerate_actions(v)[0]) == max_count(1, lb, k)
+
+
+def test_sharpness_far_past_the_onset():
+    # 10**5 fibers: only the extrapolated count reaches this quickly
+    v = BlowupVector(1, 10**5, (F(1, 4), F(1, 16), F(1, 64)))
+    assert max_count_conditions(v)
+    assert count_actions(v).count == max_count(1, 10**5, 3) == 2399988
+
+
+def _conditions_by_loop(v):
+    """The four conditions as first stated, with one test per initial top fat area."""
+    d = v.deltas
+    total = sum(d, start=F(0))
+    if not total < v.lambda_f:
+        return False
+    i = 0
+    while v.lambda_b - i * v.lambda_f > 0:
+        if not total < v.lambda_b - i * v.lambda_f:
+            return False
+        i += 1
+    if not all(sum(d[j:], start=F(0)) < d[j - 1] for j in range(1, v.k + 1)):
+        return False
+    fibs = [0, 1, 1, 2, 3, 5, 8, 13]
+    return all(
+        sum((fibs[i + 1] * d[j + i - 1] for i in range(1, s + 1)), start=F(0)) < d[j - 1]
+        for j in range(1, v.k + 1)
+        for s in range(1, v.k - j + 1)
+    )
+
+
+@st.composite
+def near_sharp_vectors(draw):
+    """Fast-decaying deltas, with lambda_b whole fibers plus a drawn offset
+    above the total, so the total lands just below, on and just above the
+    least initial top fat area; the offset -total makes lambda_b a whole
+    number of fibers."""
+    lf = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
+    k = draw(st.integers(1, 4))
+    deltas, room = [], lf
+    for _ in range(k):
+        room = room * draw(st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=16))
+        deltas.append(room)
+    total = sum(deltas, start=F(0))
+    eps = lf * draw(st.fractions(min_value=F(1, 64), max_value=F(1, 8), max_denominator=64))
+    offset = draw(
+        st.sampled_from([-eps, F(0), eps, -total])
+        | st.fractions(min_value=-lf, max_value=lf, max_denominator=16)
+    )
+    v = BlowupVector(lf, total + draw(st.integers(0, 5)) * lf + offset, tuple(deltas))
+    assume(v.lambda_b > 0 and check_cone(v))
+    return v
+
+
+@given(near_sharp_vectors())
+@settings(max_examples=300, deadline=None)
+def test_conditions_match_the_test_of_every_top_area(v):
+    assert max_count_conditions(v) == _conditions_by_loop(v)
+
+
+def test_conditions_are_constant_time_in_the_twists():
+    v = BlowupVector(1, 10**30, (F(1, 4), F(1, 16)))
+    start = time.perf_counter()
+    assert max_count_conditions(v)
+    assert time.perf_counter() - start < 0.1

@@ -1,5 +1,6 @@
 """Vector-level operations: cone test, normal form, duality, invariants."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -352,6 +353,29 @@ def test_gromov_width_is_the_smaller_bound(v):
     assert w.width_squared == min(volume_bound, fiber_bound)
     assert w.capped_by_fiber == (fiber_bound <= volume_bound)
     assert w.width_squared > 0
+
+
+@given(cone_vectors())
+def test_gromov_width_approx_is_the_float_square_root(v):
+    w = gromov_width(v)
+    assert w.approx == math.sqrt(w.width_squared)
+
+
+@pytest.mark.parametrize(
+    "v, fits",
+    [
+        (bv(F(10) ** 300, F(10) ** 300), True),  # the square is beyond floats, the root is not
+        (bv(10**400, 10**400), False),
+        (bv(10**400, 10**398), False),  # the volume bound wins
+    ],
+)
+def test_gromov_width_beyond_the_float_range(v, fits):
+    w = gromov_width(v)
+    assert w.width_squared == min(2 * volume(v), v.lambda_f**2)
+    if fits:
+        assert math.isclose(w.approx, float(v.lambda_f))
+    else:
+        assert w.approx == math.inf
 
 
 def test_packing_examples():
