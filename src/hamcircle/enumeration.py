@@ -55,10 +55,29 @@ N(L) for the number of stage-j graphs at L with top area at most lambda_f.
 
 So when L - (t+1)*lambda_f > S, every stage count at L is the one of the run
 with lambda_b lowered to L - t*lambda_f, plus t times the number of its
-stored graphs with top area at most lambda_f.  ``count_actions`` takes the
-largest such t >= 0, so it builds about 2*(S/lambda_f + 2) twists whatever
-lambda_b is; ``enumerate_actions``, whose output lists every graph, runs
-with t = 0.
+stored graphs with top area at most lambda_f.  Both ``count_actions`` and
+``enumerate_actions`` run the stages with the largest such t >= 0, so a run
+builds about 2*(S/lambda_f + 2) twists whatever lambda_b is.
+
+``enumerate_actions`` lifts the lowered store back to L.  A stored graph with
+fat areas (bottom, top) gives the graph with fat areas
+(bottom + (t+s)*lambda_f, top + (t-s)*lambda_f) and the same chains for
+s = 0, and for every s = 1..t as well when top <= lambda_f: the shift of
+both areas for s = 0, the shift n -> n+2s followed by t-s shifts of both for
+the rest.  These are the graphs that the run at L keeps, one per class,
+because the store keeps the same member of each class at every step
+L -> L + lambda_f past the onset:
+
+- Every graph that any stage generates has bottom area
+  L + n*lambda_f/2 - a >= L - S > lambda_f, as n >= 0.  So of a class with a
+  fat area at most lambda_f only the member with top area at most lambda_f
+  is ever generated, and the store keeps that member.
+- Blowups only shrink areas, so a source with a fat area at most lambda_f
+  has only such children, and a move that is invalid at L and valid at
+  L + lambda_f lands there too.
+- So the classes whose fat areas both exceed lambda_f come only from the
+  shifted sources, in the same insertion order, and the store at
+  L + lambda_f keeps the shift of the member that it kept at L.
 """
 
 from __future__ import annotations
@@ -103,9 +122,6 @@ class GraphStore:
 
     def __iter__(self) -> Iterator[DecoratedGraph]:
         return iter(self._graphs.values())
-
-    def __contains__(self, graph: DecoratedGraph) -> bool:
-        return class_key(graph) in self._graphs
 
 
 def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -> list[int]:
@@ -163,7 +179,8 @@ class CountReport:
 
     ``stage_counts`` has one entry per stage starting with the initial graph
     count, so its length is k + 1 and the final entry is the action count.
-    ``initial_twists`` records which ruled-surface graphs seeded the search.
+    ``initial_twists`` lists the twists of the reduced ruled surface; a run
+    past the onset seeds only those of its lowered lambda_b.
     """
 
     input_vector: BlowupVector
@@ -180,15 +197,14 @@ class CountReport:
         return self.stage_counts[-1]
 
 
-def _staged_run(v: BlowupVector, extrapolate: bool) -> tuple[GraphStore, CountReport, int]:
+def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int, int, int]:
     """Seed the store with the ruled-surface graphs, then run one blowup stage per delta.
 
-    With ``extrapolate`` the stores hold the run with lambda_b lowered by the
-    most whole fibers t that keep it past the onset, and the stage counts are
-    carried back to the true lambda_b as the module docstring shows; without
-    it t = 0 and the stores hold every graph.  The graphs are on the integer
-    lattice: every height and area is the true one times the scale, which is
-    returned last.
+    The stores hold the run with lambda_b lowered by the most whole fibers t
+    that keep it past the onset, and the stage counts are carried back to the
+    true lambda_b as the module docstring shows.  The graphs are on the
+    integer lattice: every height and area is the true one times the scale.
+    Returns the last store, the report, t, the lattice lambda_f and the scale.
     """
     reduced = cremona_reduce(v).vector
     twists = tuple(initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle))
@@ -196,7 +212,7 @@ def _staged_run(v: BlowupVector, extrapolate: bool) -> tuple[GraphStore, CountRe
     scale = 2 * math.lcm(*(q.denominator for q in values))
     lf, lb, *deltas = (q.numerator * (scale // q.denominator) for q in values)
     # the largest t >= 0 with lb - (t+1)*lf > sum(deltas)
-    t = max(0, (lb - sum(deltas) - 1) // lf - 1) if extrapolate else 0
+    t = max(0, (lb - sum(deltas) - 1) // lf - 1)
     store = GraphStore(initial_graphs(lf, lb - t * lf, reduced.bundle, reduced.genus))
 
     def count(stage: GraphStore) -> int:
@@ -207,7 +223,7 @@ def _staged_run(v: BlowupVector, extrapolate: bool) -> tuple[GraphStore, CountRe
     for delta in deltas:
         store = blowup_stage(store, delta)
         counts.append(count(store))
-    return store, CountReport(v, reduced, twists, tuple(counts)), scale
+    return store, CountReport(v, reduced, twists, tuple(counts)), t, lf, scale
 
 
 def count_actions(v: BlowupVector) -> CountReport:
@@ -220,12 +236,28 @@ def count_actions(v: BlowupVector) -> CountReport:
     and the counts are extrapolated exactly, so the cost depends on k and
     sum(deltas)/lambda_f, not on lambda_b/lambda_f.
     """
-    return _staged_run(v, extrapolate=True)[1]
+    return _staged_run(v)[1]
 
 
 def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountReport]:
-    """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order."""
-    store, report, scale = _staged_run(v, extrapolate=False)
+    """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order.
+
+    The same run as ``count_actions``; only the lift of its store back to the
+    true lambda_b, and the output, grow with lambda_b/lambda_f.
+    """
+    store, report, t, lf, scale = _staged_run(v)
+    if t:
+        # the lift of the module docstring, still on the lattice
+        store = [
+            DecoratedGraph(
+                FatVertex(g.bottom.area + (t + s) * lf, g.bottom.genus),
+                FatVertex(g.top.area + (t - s) * lf, g.top.genus),
+                g.height,
+                g.chains,
+            )
+            for g in store
+            for s in range(t + 1 if g.top.area <= lf else 1)
+        ]
     graphs = sorted(store, key=canonical_sort_key)
     del store
     # Back from the lattice: each value, fat vertex and chain is converted once

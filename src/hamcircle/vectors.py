@@ -180,19 +180,19 @@ class ReduceResult:
 
 
 def cremona_reduce(v: BlowupVector) -> ReduceResult:
-    """Iterate the move until the vector is reduced.
+    """Iterate ``cremona_move`` until the vector is reduced.
 
-    Sorts first, then repeats ``sort(cremona(.))`` while the defect stays
-    positive.  Each move preserves lambda_f and the volume, every delta that
-    ever appears lies in the finite set {d_i} U {lambda_f - d_i} of the input,
-    and the sorted delta tuples strictly decrease, so the loop terminates.
-    Every vector inside the cone is accepted; one with k <= 1 is its own
-    normal form.
+    Sorts first; a sorted vector is not reduced exactly when its defect is
+    positive, so every move applies ``cremona``.  Each move preserves
+    lambda_f and the volume, every delta that ever appears lies in the finite
+    set {d_i} U {lambda_f - d_i} of the input, and the sorted delta tuples
+    strictly decrease, so the loop terminates.  Every vector inside the cone
+    is accepted; one with k <= 1 is its own normal form.
     """
     require_cone(v)
     steps = [sort_deltas(v)]
     while not is_g_reduced(steps[-1]):
-        steps.append(sort_deltas(cremona(steps[-1])))
+        steps.append(cremona_move(steps[-1]))
     return ReduceResult(tuple(steps))
 
 
