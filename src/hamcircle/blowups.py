@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .graphs import Chain, DecoratedGraph, FatVertex
+from .graphs import Chain, DecoratedGraph
 from .vectors import as_exact
 
 
@@ -50,18 +50,14 @@ def blowup_fat(g: DecoratedGraph, side: FatSide, delta: int | Fraction) -> Decor
     the area test alone does not guarantee on arbitrary graphs).
     """
     delta = _check_delta(delta)
-    area = g.bottom.area if side is FatSide.BOTTOM else g.top.area
+    area = g.bottom_area if side is FatSide.BOTTOM else g.top_area
     if not (delta < area and delta < g.height):
         return None
     if side is FatSide.BOTTOM:
-        bottom = FatVertex(g.bottom.area - delta, g.bottom.genus)
-        top = g.top
-        new_chain = Chain((delta,))
+        bottom, top, new_vertex = g.bottom_area - delta, g.top_area, delta
     else:
-        bottom = g.bottom
-        top = FatVertex(g.top.area - delta, g.top.genus)
-        new_chain = Chain((g.height - delta,))
-    return DecoratedGraph(bottom, top, g.height, g.chains + (new_chain,))
+        bottom, top, new_vertex = g.bottom_area, g.top_area - delta, g.height - delta
+    return DecoratedGraph(bottom, top, g.height, g.genus, g.chains + (Chain((new_vertex,)),))
 
 
 def blowup_interior(
@@ -88,7 +84,7 @@ def blowup_interior(
         return None
     chain = Chain(seq[:i] + (low, below + above, high) + seq[i + 1:])
     chains = g.chains[:chain_index] + (chain,) + g.chains[chain_index + 1:]
-    return DecoratedGraph(g.bottom, g.top, g.height, chains)
+    return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, chains)
 
 
 def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph]:

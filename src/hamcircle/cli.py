@@ -105,8 +105,8 @@ def to_dot(graphs: list[DecoratedGraph]) -> str:
         lines.append(f"  subgraph cluster_{gi} {{")
         lines.append(f'    label="graph {gi}";')
         bot, top = f"g{gi}_bottom", f"g{gi}_top"
-        lines.append(f'    {bot} [shape=box, label="area {g.bottom.area}, genus {g.bottom.genus}"];')
-        lines.append(f'    {top} [shape=box, label="area {g.top.area}, genus {g.top.genus}"];')
+        lines.append(f'    {bot} [shape=box, label="area {g.bottom_area}, genus {g.genus}"];')
+        lines.append(f'    {top} [shape=box, label="area {g.top_area}, genus {g.genus}"];')
         for pos, chain in enumerate(g.chains):
             names = [f"g{gi}_c{pos}_v{vi}" for vi in range(len(chain.heights))]
             for name, h in zip(names, chain.heights):

@@ -10,8 +10,8 @@ vertical translation and flip after every stage.  The store is a dict keyed by
 Inputs with unsorted or defect-positive deltas are first brought to reduced
 form: the count only depends on the symplectomorphism class, and the staged
 search is only correct for reduced vectors.  The reduced vector may have at
-most ``MAX_TWISTS`` twists, which every report lists; a run past that bound is
-refused before it builds a graph.
+most ``MAX_TWISTS`` twists; a run past that bound is refused before it builds
+a graph.  A report holds the twists as a ``range``, whatever their number.
 
 Every height and area the stages produce is an integer combination of
 lambda_f/2, lambda_b and the deltas.  A run therefore multiplies the reduced
@@ -89,7 +89,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .blowups import all_blowups
-from .graphs import Chain, DecoratedGraph, FatVertex, canonical_sort_key, class_key
+from .graphs import Chain, DecoratedGraph, canonical_sort_key, class_key
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
 # Most ruled-surface graphs (one per twist) that a run will seed.
@@ -124,9 +124,9 @@ class GraphStore:
         return iter(self._graphs.values())
 
 
-def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -> list[int]:
-    """Admissible twists n for the ruled-surface graphs: even 0 <= n < 2*lambda_b/lambda_f
-    on the trivial bundle, odd on the non-trivial one.
+def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -> range:
+    """The range of admissible twists n for the ruled-surface graphs: even
+    0 <= n < 2*lambda_b/lambda_f on the trivial bundle, odd on the non-trivial one.
 
     A twist is admissible exactly while the top fat area lambda_b - (n/2)*lambda_f
     stays positive.  More than ``MAX_TWISTS`` of them raise ``TooManyTwistsError``.
@@ -139,7 +139,7 @@ def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -
     twists = (stop - start + 1) // 2
     if twists > MAX_TWISTS:
         raise TooManyTwistsError(f"{twists} twists exceed the limit of {MAX_TWISTS}")
-    return list(range(start, stop, 2))
+    return range(start, stop, 2)
 
 
 def initial_graphs(
@@ -153,8 +153,7 @@ def initial_graphs(
     lf, lb = as_exact(lambda_f), as_exact(lambda_b)
     half = lf // 2 if type(lf) is int and lf % 2 == 0 else Fraction(lf, 2)
     return [
-        DecoratedGraph(bottom=FatVertex(lb + n * half, genus), top=FatVertex(lb - n * half, genus), height=lf)
-        for n in initial_twists(lf, lb, bundle)
+        DecoratedGraph(lb + n * half, lb - n * half, lf, genus) for n in initial_twists(lf, lb, bundle)
     ]
 
 
@@ -179,13 +178,13 @@ class CountReport:
 
     ``stage_counts`` has one entry per stage starting with the initial graph
     count, so its length is k + 1 and the final entry is the action count.
-    ``initial_twists`` lists the twists of the reduced ruled surface; a run
-    past the onset seeds only those of its lowered lambda_b.
+    ``initial_twists`` is the range of twists of the reduced ruled surface; a
+    run past the onset seeds only those of its lowered lambda_b.
     """
 
     input_vector: BlowupVector
     reduced_vector: BlowupVector
-    initial_twists: tuple[int, ...]
+    initial_twists: range
     stage_counts: tuple[int, ...]
 
     @property
@@ -207,7 +206,7 @@ def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int, int, int
     Returns the last store, the report, t, the lattice lambda_f and the scale.
     """
     reduced = cremona_reduce(v).vector
-    twists = tuple(initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle))
+    twists = initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle)
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
     scale = 2 * math.lcm(*(q.denominator for q in values))
     lf, lb, *deltas = (q.numerator * (scale // q.denominator) for q in values)
@@ -217,7 +216,7 @@ def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int, int, int
 
     def count(stage: GraphStore) -> int:
         # each of the t fibers adds one class per stored graph with top area <= lf
-        return len(stage) + (t and t * sum(g.top.area <= lf for g in stage))
+        return len(stage) + (t and t * sum(g.top_area <= lf for g in stage))
 
     counts = [count(store)]
     for delta in deltas:
@@ -249,23 +248,19 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     if t:
         # the lift of the module docstring, still on the lattice
         store = [
-            DecoratedGraph(
-                FatVertex(g.bottom.area + (t + s) * lf, g.bottom.genus),
-                FatVertex(g.top.area + (t - s) * lf, g.top.genus),
-                g.height,
-                g.chains,
-            )
+            DecoratedGraph(g.bottom_area + (t + s) * lf, g.top_area + (t - s) * lf, g.height, g.genus, g.chains)
             for g in store
-            for s in range(t + 1 if g.top.area <= lf else 1)
+            for s in range(t + 1 if g.top_area <= lf else 1)
         ]
     graphs = sorted(store, key=canonical_sort_key)
     del store
-    # Back from the lattice: each value, fat vertex and chain is converted once
-    # and shared by every graph that holds it.
+    # Back from the lattice: each value and chain is converted once and shared
+    # by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
-    fat = functools.cache(lambda f: FatVertex(fraction(f.area), f.genus))
     chain = functools.cache(lambda c: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(c.seq))))
     # each lattice graph is freed as soon as its Fraction copy replaces it
     for i, g in enumerate(graphs):
-        graphs[i] = DecoratedGraph(fat(g.bottom), fat(g.top), fraction(g.height), tuple(map(chain, g.chains)))
+        graphs[i] = DecoratedGraph(
+            fraction(g.bottom_area), fraction(g.top_area), fraction(g.height), g.genus, tuple(map(chain, g.chains))
+        )
     return graphs, report

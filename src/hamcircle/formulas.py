@@ -70,40 +70,37 @@ def count_equal_sizes(
         raise ValueError("no closed form for 2*epsilon > lambda_f")
     require_cone(BlowupVector(lf, lb, (eps,) * k))
 
-    total = 0
-    if bundle is BundleType.TRIVIAL:
-        for n in range(1, math.ceil(lb / lf)):
-            for j in range(k + 1):
-                total += indicator(j * eps, lb - n * lf) * indicator((k - j) * eps, lb + n * lf)
-        for j in range(k // 2 + 1):
-            total += indicator(j * eps, lb) * indicator((k - j) * eps, lb)
-        if 2 * eps == lf:
-            for n in range(1, math.ceil(lb / lf)):
-                for j in range(k - 1):
-                    total -= indicator(j * eps, lb - n * lf) * indicator(
-                        (k - 2 - j) * eps, lb + (n - 1) * lf
-                    )
-        return total
-
-    bound = math.ceil((lb - lf / 2) / lf)
-    for n in range(max(0, bound)):
-        shift = Fraction(2 * n + 1, 2) * lf
-        for j in range(k + 1):
-            total += indicator(j * eps, lb - shift) * indicator((k - j) * eps, lb + shift)
+    # Write the seeds' fat areas as lb + half + n*lf (bottom) and
+    # lb - half - n*lf (top): half = 0 and n >= 1 on the trivial bundle, where
+    # n = 0 is its own flip and is counted apart, and half = lf/2 and n >= 0
+    # on the non-trivial one.  For a fixed j the two strict area tests bound n
+    # from below and from above, so each sum over n counts the integers in an
+    # open interval.
+    trivial = bundle is BundleType.TRIVIAL
+    half = 0 if trivial else lf / 2
+    total = sum(
+        _integers_between(((k - j) * eps - lb - half) / lf, (lb - half - j * eps) / lf, 1 if trivial else 0)
+        for j in range(k + 1)
+    )
+    if trivial:
+        total += sum(indicator(j * eps, lb) * indicator((k - j) * eps, lb) for j in range(k // 2 + 1))
     if 2 * eps == lf:
-        for n in range(1, bound):
-            shift = Fraction(2 * n + 1, 2) * lf
-            prev_shift = Fraction(2 * (n - 1) + 1, 2) * lf
-            for j in range(k - 1):
-                total -= indicator(j * eps, lb - shift) * indicator(
-                    (k - 2 - j) * eps, lb + prev_shift
-                )
-        # flip coincidences between the diagonals c and k - c (both realized
-        # exactly when both fat areas stay positive); only c strictly between
-        # k/2 and k contributes, so this is empty for k <= 2
-        for c in range(k // 2 + 1, k):
-            total -= indicator(c * eps, lb) * indicator((k - c) * eps, lb)
+        # the duplicates of the boundary regime, again one interval per j
+        total -= sum(
+            _integers_between(((k - 2 - j) * eps - lb - half) / lf + 1, (lb - half - j * eps) / lf, 1)
+            for j in range(k - 1)
+        )
+        if not trivial:
+            # flip coincidences between the diagonals c and k - c (both realized
+            # exactly when both fat areas stay positive); only c strictly between
+            # k/2 and k contributes, so this is empty for k <= 2
+            total -= sum(indicator(c * eps, lb) * indicator((k - c) * eps, lb) for c in range(k // 2 + 1, k))
     return total
+
+
+def _integers_between(low: Fraction, high: Fraction, first: int) -> int:
+    """Number of integers n >= first with low < n < high."""
+    return max(0, math.ceil(high) - max(first, math.floor(low) + 1))
 
 
 def max_count(lambda_f: Fraction, lambda_b: Fraction, k: int) -> int:

@@ -1,10 +1,12 @@
 """Decorated graphs of Hamiltonian circle actions and their equivalence.
 
 A graph records one circle action: two fat vertices (the fixed surfaces at the
-moment-map extrema, labeled by area and genus) joined through chains of
-isolated fixed points.  Moment labels are normalized so the bottom fat vertex
-sits at 0 and the top at ``height``; the vertical-translation quotient then
-becomes literal equality, and the flip is an explicit involution.
+moment-map extrema) joined through chains of isolated fixed points.  Both fat
+vertices are surfaces of the base genus, so a graph is its JSON fields: the
+two fat areas, the height, one genus and the chains.  Moment labels are
+normalized so the bottom fat vertex sits at 0 and the top at ``height``; the
+vertical-translation quotient then becomes literal equality, and the flip is
+an explicit involution.
 
 A chain is one word, the alternating sequence ``seq = (v0, e1, v1, ..., vm)``
 of interior vertex heights and edge labels, read from the bottom; its
@@ -76,32 +78,24 @@ _SEQ = operator.attrgetter("seq")
 
 
 @dataclass(frozen=True)
-class FatVertex:
-    """A fixed surface at a moment extremum: area label and genus."""
-
-    area: int | Fraction
-    genus: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "area", as_exact(self.area))
-        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
-
-
-@dataclass(frozen=True)
 class DecoratedGraph:
-    """Two fat vertices at heights 0 and ``height`` plus the chains between them.
+    """Two fat vertices of genus ``genus`` at heights 0 and ``height`` plus the chains between them.
 
     The chains are stored sorted by ``seq`` whatever order they are given in.
     """
 
-    bottom: FatVertex
-    top: FatVertex
+    bottom_area: int | Fraction
+    top_area: int | Fraction
     height: int | Fraction
+    genus: int
     chains: tuple[Chain, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bottom_area", as_exact(self.bottom_area))
+        object.__setattr__(self, "top_area", as_exact(self.top_area))
         object.__setattr__(self, "height", as_exact(self.height))
+        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
+            raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
         object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_SEQ)))
 
 
@@ -112,7 +106,7 @@ def class_key(g: DecoratedGraph) -> tuple:
     sequences) and its flip's form (top area, bottom area, height, sorted
     chain end keys); the flipped graph itself is never built.
     """
-    bottom, top, height = g.bottom.area, g.top.area, g.height
+    bottom, top, height = g.bottom_area, g.top_area, g.height
     own = (bottom, top, height, tuple(c.seq for c in g.chains))
     if bottom < top:
         return own
@@ -133,20 +127,17 @@ class GraphReport:
 def validate(g: DecoratedGraph) -> GraphReport:
     """Check every structural invariant of a decorated graph.
 
-    Positive height and fat areas, matching genera, labels >= 1, strictly
-    increasing chain heights strictly between the fat vertices, coprime
-    adjacent labels at every interior vertex (counting the implicit 1s at the
-    chain ends).
+    Positive height and fat areas, labels >= 1, strictly increasing chain
+    heights strictly between the fat vertices, coprime adjacent labels at
+    every interior vertex (counting the implicit 1s at the chain ends).
     """
     bad: list[str] = []
     if g.height <= 0:
         bad.append("height_positive")
-    if g.bottom.area <= 0:
+    if g.bottom_area <= 0:
         bad.append("bottom_area_positive")
-    if g.top.area <= 0:
+    if g.top_area <= 0:
         bad.append("top_area_positive")
-    if g.bottom.genus != g.top.genus:
-        bad.append("genus_match")
     for ci, chain in enumerate(g.chains):
         if any(label < 1 for label in chain.labels):
             bad.append(f"chain_{ci}_labels_positive")
@@ -170,12 +161,8 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     report = validate(g)
     if not report:
         raise ValueError("cannot flip an invalid graph: " + ", ".join(report.violations))
-    return DecoratedGraph(
-        bottom=g.top,
-        top=g.bottom,
-        height=g.height,
-        chains=tuple(Chain(c.end_key(g.height)) for c in g.chains),
-    )
+    chains = tuple(Chain(c.end_key(g.height)) for c in g.chains)
+    return DecoratedGraph(g.top_area, g.bottom_area, g.height, g.genus, chains)
 
 
 def are_equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
@@ -187,8 +174,8 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
     """Deterministic total order on graphs, used for stable output listings."""
     return (
         g.height,
-        g.bottom.area,
-        g.top.area,
+        g.bottom_area,
+        g.top_area,
         len(g.chains),
         tuple(c.seq for c in g.chains),
     )
@@ -204,9 +191,9 @@ def to_json_dict(g: DecoratedGraph) -> dict:
     """Canonical JSON object: rationals as strings, each chain its ``seq`` in stored order."""
     return {
         "height": str(g.height),
-        "genus": g.bottom.genus,
-        "bottom_area": str(g.bottom.area),
-        "top_area": str(g.top.area),
+        "genus": g.genus,
+        "bottom_area": str(g.bottom_area),
+        "top_area": str(g.top_area),
         "chains": [[x if i % 2 else str(x) for i, x in enumerate(c.seq)] for c in g.chains],
     }
 
@@ -217,9 +204,5 @@ def canonical_json(g: DecoratedGraph) -> str:
 
 def graph_from_json_dict(data: dict) -> DecoratedGraph:
     """The graph of ``to_json_dict``; values go through the constructors, so floats are refused."""
-    return DecoratedGraph(
-        bottom=FatVertex(data["bottom_area"], data["genus"]),
-        top=FatVertex(data["top_area"], data["genus"]),
-        height=data["height"],
-        chains=tuple(Chain(seq) for seq in data["chains"]),
-    )
+    chains = tuple(Chain(seq) for seq in data["chains"])
+    return DecoratedGraph(data["bottom_area"], data["top_area"], data["height"], data["genus"], chains)

@@ -22,7 +22,6 @@ from hamcircle import (
     BundleType,
     Chain,
     DecoratedGraph,
-    FatVertex,
     all_blowups,
 )
 
@@ -31,15 +30,16 @@ BUNDLES = (BundleType.TRIVIAL, BundleType.NONTRIVIAL)
 
 def graph_values(g):
     """Every height and area of a graph."""
-    return [g.height, g.bottom.area, g.top.area, *(h for c in g.chains for h in c.heights)]
+    return [g.height, g.bottom_area, g.top_area, *(h for c in g.chains for h in c.heights)]
 
 
 def map_values(g, fn):
     """The graph with every height and area x replaced by fn(x)."""
     return DecoratedGraph(
-        FatVertex(fn(g.bottom.area), g.bottom.genus),
-        FatVertex(fn(g.top.area), g.top.genus),
+        fn(g.bottom_area),
+        fn(g.top_area),
         fn(g.height),
+        g.genus,
         tuple(Chain(tuple(x if i % 2 else fn(x) for i, x in enumerate(c.seq))) for c in g.chains),
     )
 
@@ -90,11 +90,11 @@ def chains(draw, height):
 def valid_graphs(draw, max_chains=5):
     height = draw(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=4))
     genus = draw(st.integers(1, 2))
-    bottom = FatVertex(draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)), genus)
-    top = FatVertex(draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)), genus)
+    bottom = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
+    top = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
     n = draw(st.integers(0, max_chains))
     chain_list = tuple(draw(chains(height)) for _ in range(n))
-    return DecoratedGraph(bottom, top, height, chain_list)
+    return DecoratedGraph(bottom, top, height, genus, chain_list)
 
 
 @st.composite
@@ -104,9 +104,9 @@ def blown_graphs(draw, max_blowups=3):
     genus = draw(st.integers(1, 2))
     base = draw(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=4))
     spread = draw(st.fractions(min_value=0, max_value=2, max_denominator=4))
-    g = DecoratedGraph(FatVertex(base + spread, genus), FatVertex(base, genus), height)
+    g = DecoratedGraph(base + spread, base, height, genus)
     for _ in range(draw(st.integers(0, max_blowups))):
-        room = min(g.bottom.area, g.top.area, g.height)
+        room = min(g.bottom_area, g.top_area, g.height)
         delta = room * draw(st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32))
         options = all_blowups(g, delta)
         if not options:
@@ -123,7 +123,7 @@ def graph_pairs(draw):
     if kind == 0:
         g2 = draw(st.one_of(valid_graphs(), blown_graphs()))
     elif kind == 1:
-        g2 = DecoratedGraph(g1.bottom, g1.top, g1.height, g1.chains)
+        g2 = DecoratedGraph(g1.bottom_area, g1.top_area, g1.height, g1.genus, g1.chains)
     elif kind == 2:
         g2 = mirror(g1)
     elif kind == 3:
@@ -139,7 +139,7 @@ def graph_pairs(draw):
 
 
 def permute_chains(g: DecoratedGraph, perm) -> DecoratedGraph:
-    return DecoratedGraph(g.bottom, g.top, g.height, tuple(g.chains[i] for i in perm))
+    return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, tuple(g.chains[i] for i in perm))
 
 
 def mirror(g: DecoratedGraph) -> DecoratedGraph:
@@ -148,15 +148,13 @@ def mirror(g: DecoratedGraph) -> DecoratedGraph:
         Chain(tuple(x if i % 2 else g.height - x for i, x in enumerate(reversed(c.seq))))
         for c in g.chains
     )
-    return DecoratedGraph(g.top, g.bottom, g.height, chain_list)
+    return DecoratedGraph(g.top_area, g.bottom_area, g.height, g.genus, chain_list)
 
 
 def tweak(g: DecoratedGraph) -> DecoratedGraph:
     """A near miss: move one vertex height (or one area) while staying valid."""
     if not g.chains:
-        return DecoratedGraph(
-            FatVertex(g.bottom.area + F(1, 7), g.bottom.genus), g.top, g.height, ()
-        )
+        return DecoratedGraph(g.bottom_area + F(1, 7), g.top_area, g.height, g.genus, ())
     chain = g.chains[0]
     lower = chain.heights[-2] if len(chain.heights) > 1 else F(0)
     upper = g.height
@@ -165,7 +163,7 @@ def tweak(g: DecoratedGraph) -> DecoratedGraph:
     if new_h == chain.heights[vi]:
         new_h = (lower + 3 * upper) / 4
     chain_list = (Chain(chain.seq[:-1] + (new_h,)),) + g.chains[1:]
-    return DecoratedGraph(g.bottom, g.top, g.height, chain_list)
+    return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, chain_list)
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -173,7 +171,7 @@ def tweak(g: DecoratedGraph) -> DecoratedGraph:
 
 def oracle_match(a: DecoratedGraph, b: DecoratedGraph) -> bool:
     """Exact equality up to an arbitrary bijection of the chains."""
-    if a.height != b.height or a.bottom.area != b.bottom.area or a.top.area != b.top.area:
+    if a.height != b.height or a.bottom_area != b.bottom_area or a.top_area != b.top_area:
         return False
     if len(a.chains) != len(b.chains):
         return False
@@ -223,8 +221,8 @@ def random_cone_vector(
 def random_valid_graph(rng: random.Random, max_chains: int = 5) -> DecoratedGraph:
     height = F(rng.randint(1, 8), rng.randint(1, 2))
     genus = rng.randint(1, 2)
-    bottom = FatVertex(F(rng.randint(1, 16), 4), genus)
-    top = FatVertex(F(rng.randint(1, 16), 4), genus)
+    bottom = F(rng.randint(1, 16), 4)
+    top = F(rng.randint(1, 16), 4)
     chain_list = []
     for _ in range(rng.randint(0, max_chains)):
         n = rng.randint(1, 3)
@@ -236,7 +234,7 @@ def random_valid_graph(rng: random.Random, max_chains: int = 5) -> DecoratedGrap
             prev = rng.choice([x for x in range(1, 7) if math.gcd(x, prev) == 1])
             seq += [prev, h]
         chain_list.append(Chain(tuple(seq)))
-    return DecoratedGraph(bottom, top, height, tuple(chain_list))
+    return DecoratedGraph(bottom, top, height, genus, tuple(chain_list))
 
 
 def random_graph_pair(rng: random.Random) -> tuple[DecoratedGraph, DecoratedGraph]:
@@ -245,7 +243,7 @@ def random_graph_pair(rng: random.Random) -> tuple[DecoratedGraph, DecoratedGrap
     if kind == 0:
         return g1, random_valid_graph(rng)
     if kind == 1:
-        return g1, DecoratedGraph(g1.bottom, g1.top, g1.height, g1.chains)
+        return g1, DecoratedGraph(g1.bottom_area, g1.top_area, g1.height, g1.genus, g1.chains)
     if kind == 2:
         return g1, mirror(g1)
     perm = list(range(len(g1.chains)))

@@ -264,6 +264,16 @@ def test_count_far_past_the_onset_is_quick(capsys):
     assert "actions: 2399988" in out
 
 
+def test_equal_sizes_crosscheck_far_past_the_onset_is_quick(capsys):
+    # 10**5 twists and sixteen blowups of lambda_f/2: the closed form is O(k)
+    deltas = ",".join(["1/2"] * 16)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--formula-crosscheck", "-v", f"1,100000;{deltas}")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK and err == ""
+    assert "actions: 199992" in out and "crosscheck (equal sizes): 199992" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -306,7 +316,7 @@ def test_enumerate_json_graphs_round_trip(capsys):
     assert payload["count"] == 1
     assert payload["graphs"][0]["chains"] == [["1/4"]]
     rebuilt = graph_from_json_dict(payload["graphs"][0])
-    assert rebuilt.bottom.area == F(3, 4)
+    assert rebuilt.bottom_area == F(3, 4)
 
 
 def test_enumerate_empty_is_success(capsys):

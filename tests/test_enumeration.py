@@ -14,7 +14,6 @@ from hamcircle import (
     BundleType,
     Chain,
     DecoratedGraph,
-    FatVertex,
     GraphStore,
     NotBlowupFormError,
     TooManyTwistsError,
@@ -43,12 +42,7 @@ T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 
 
 def graph(bottom, top, height, *chains, genus=1):
-    return DecoratedGraph(
-        FatVertex(F(bottom), genus),
-        FatVertex(F(top), genus),
-        F(height),
-        tuple(map(Chain, chains)),
-    )
+    return DecoratedGraph(F(bottom), F(top), F(height), genus, tuple(map(Chain, chains)))
 
 
 STAGE2_A = graph("11/16", 1, 1, ("1/4",), ("1/16",))
@@ -88,24 +82,24 @@ def test_add_if_new_keeps_inequivalent_graphs():
 
 def test_initial_graphs_trivial():
     gs = initial_graphs(3, 7, T, genus=2)
-    assert [(g.bottom.area, g.top.area) for g in gs] == [(7, 7), (10, 4), (13, 1)]
-    assert all(g.height == 3 and not g.chains and g.bottom.genus == 2 for g in gs)
+    assert [(g.bottom_area, g.top_area) for g in gs] == [(7, 7), (10, 4), (13, 1)]
+    assert all(g.height == 3 and not g.chains and g.genus == 2 for g in gs)
 
 
 def test_initial_graphs_nontrivial():
     gs = initial_graphs(2, 3, NT, genus=1)
-    assert [(g.bottom.area, g.top.area) for g in gs] == [(4, 2)]
+    assert [(g.bottom_area, g.top_area) for g in gs] == [(4, 2)]
 
 
 def test_initial_graphs_square():
     gs = initial_graphs(3, 3, T, genus=1)
-    assert [(g.bottom.area, g.top.area) for g in gs] == [(3, 3)]
+    assert [(g.bottom_area, g.top_area) for g in gs] == [(3, 3)]
 
 
 def test_initial_twists_parity():
-    assert initial_twists(3, 7, T) == [0, 2, 4]
-    assert initial_twists(2, 3, NT) == [1]
-    assert initial_twists(2, F(1, 2), NT) == []  # base too small for the odd twist
+    assert list(initial_twists(3, 7, T)) == [0, 2, 4]
+    assert list(initial_twists(2, 3, NT)) == [1]
+    assert list(initial_twists(2, F(1, 2), NT)) == []  # base too small for the odd twist
 
 
 @given(
@@ -122,7 +116,7 @@ def test_initial_twists_match_their_definition(lf, halves, rest, bundle):
     assume(lb > 0)
     parity = 0 if bundle is T else 1
     expected = [n for n in range(parity, 2 * halves + 4, 2) if lb - n * lf / 2 > 0]
-    assert initial_twists(lf, lb, bundle) == expected
+    assert list(initial_twists(lf, lb, bundle)) == expected
 
 
 def test_initial_graphs_need_positive_parameters():
@@ -161,7 +155,7 @@ def test_count_two_shrinking_blowups_on_the_unit_square():
     report = count_actions(BlowupVector(1, 1, (F(1, 4), F(1, 16))))
     assert report.count == 3
     assert report.stage_counts == (1, 1, 3)
-    assert report.initial_twists == (0,)
+    assert tuple(report.initial_twists) == (0,)
     assert not report.auto_reduced
 
 
@@ -196,8 +190,8 @@ def test_library_twist_bound_is_inclusive_and_applies_after_reduction(monkeypatc
     import hamcircle.enumeration as enumeration
 
     monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
-    assert initial_twists(1, 3, T) == [0, 2, 4]
-    assert initial_twists(1, F(7, 2), NT) == [1, 3, 5]
+    assert list(initial_twists(1, 3, T)) == [0, 2, 4]
+    assert list(initial_twists(1, F(7, 2), NT)) == [1, 3, 5]
     with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
         initial_twists(1, F(7, 2), T)
     assert count_actions(BlowupVector(1, 3)).count == 3
@@ -206,7 +200,7 @@ def test_library_twist_bound_is_inclusive_and_applies_after_reduction(monkeypatc
     # two twists before reduction, one after
     monkeypatch.setattr(enumeration, "MAX_TWISTS", 1)
     report = count_actions(BlowupVector(1, F(3, 2), (F(9, 10), F(9, 10))))
-    assert report.auto_reduced and report.initial_twists == (0,)
+    assert report.auto_reduced and tuple(report.initial_twists) == (0,)
 
 
 def test_twist_bound_is_checked_before_any_graph_is_built(monkeypatch):
@@ -283,7 +277,7 @@ def test_extrapolated_count_matches_the_full_run(v):
     assert count_actions(v) == report
     assert report.stage_counts == tuple(sizes)
     assert report.reduced_vector == w
-    assert report.initial_twists == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
+    assert tuple(report.initial_twists) == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
 
 
 def test_count_k0_matches_the_initial_graphs():
@@ -400,6 +394,19 @@ def test_counts_do_not_depend_on_the_genus():
         assert count_actions(BlowupVector(2, 3, (F(1, 2),), NT, genus)).count == 2
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("lambda_b, fibers", [(2, 0), (10, 8)])
+@pytest.mark.parametrize("bundle", [T, NT])
+def test_enumerated_graphs_keep_the_genus(genus, lambda_b, fibers, bundle):
+    # fibers is the t of the run: t = 0 hands out the store, t >= 1 the lift
+    import hamcircle.enumeration as enumeration
+
+    v = BlowupVector(1, lambda_b, (F(1, 2), F(1, 4)), bundle, genus)
+    assert enumeration._staged_run(v)[2] == fibers
+    graphs, _ = enumerate_actions(v)
+    assert graphs and {g.genus for g in graphs} == {genus}
+
+
 def test_count_matches_enumerate_on_the_reduction_demo():
     # the two encodings of one manifold enumerate to equivalent graph sets
     left, _ = enumerate_actions(BlowupVector(3, 3, (2, 2)))
@@ -421,7 +428,7 @@ def _assert_scale_covariant(v, s):
     scaled, scaled_report = enumerate_actions(_scaled_vector(v, s))
     assert scaled_report.stage_counts == report.stage_counts
     w = report.reduced_vector
-    assert report.initial_twists == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
+    assert tuple(report.initial_twists) == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
     assert scaled_report.initial_twists == report.initial_twists
     assert scaled == [map_values(g, lambda x: x * s) for g in graphs]
     return graphs, report

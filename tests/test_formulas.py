@@ -1,5 +1,6 @@
 """Closed-form counts against worked values and against the enumerator."""
 
+import math
 import time
 from fractions import Fraction as F
 
@@ -142,6 +143,60 @@ def test_equal_sizes_at_integral_base_to_fiber_ratio(ratio, bundle):
     v = BlowupVector(lf, lb, (eps,) * k, bundle)
     formula = count_equal_sizes(lf, lb, eps, k, bundle)
     assert formula == count_actions(v).count == len(enumerate_actions(v)[0])
+
+
+def _equal_sizes_by_loop(lf, lb, eps, k, bundle):
+    """``count_equal_sizes`` as first written, one indicator product per twist and j."""
+    total = 0
+    if bundle is T:
+        for n in range(1, math.ceil(lb / lf)):
+            for j in range(k + 1):
+                total += indicator(j * eps, lb - n * lf) * indicator((k - j) * eps, lb + n * lf)
+        for j in range(k // 2 + 1):
+            total += indicator(j * eps, lb) * indicator((k - j) * eps, lb)
+        if 2 * eps == lf:
+            for n in range(1, math.ceil(lb / lf)):
+                for j in range(k - 1):
+                    total -= indicator(j * eps, lb - n * lf) * indicator((k - 2 - j) * eps, lb + (n - 1) * lf)
+        return total
+    bound = math.ceil((lb - lf / 2) / lf)
+    for n in range(max(0, bound)):
+        shift = F(2 * n + 1, 2) * lf
+        for j in range(k + 1):
+            total += indicator(j * eps, lb - shift) * indicator((k - j) * eps, lb + shift)
+    if 2 * eps == lf:
+        for n in range(1, bound):
+            shift = F(2 * n + 1, 2) * lf
+            prev_shift = F(2 * (n - 1) + 1, 2) * lf
+            for j in range(k - 1):
+                total -= indicator(j * eps, lb - shift) * indicator((k - 2 - j) * eps, lb + prev_shift)
+        for c in range(k // 2 + 1, k):
+            total -= indicator(c * eps, lb) * indicator((k - c) * eps, lb)
+    return total
+
+
+@st.composite
+def equal_size_inputs(draw):
+    """Equal sizes with 2*eps <= lambda_f, half of them 2*eps == lambda_f, and
+    lambda_b a few whole fibers plus a drawn offset: on a whole multiple of
+    lambda_f, one small step below or above it, or anywhere in between."""
+    k = draw(st.integers(1, 8))
+    lf = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
+    share = st.fractions(min_value=F(1, 64), max_value=F(1, 2), max_denominator=64)
+    eps = lf * (F(1, 2) if draw(st.booleans()) else draw(share))
+    step = lf * draw(st.fractions(min_value=F(1, 256), max_value=F(1, 8), max_denominator=256))
+    between = st.fractions(min_value=0, max_value=lf, max_denominator=16)
+    offset = draw(st.sampled_from([F(0), -step, step]) | between)
+    lb = draw(st.integers(0, 12)) * lf + offset
+    bundle = draw(st.sampled_from([T, NT]))
+    assume(lb > 0 and check_cone(BlowupVector(lf, lb, (eps,) * k)))
+    return lf, lb, eps, k, bundle
+
+
+@given(equal_size_inputs())
+@settings(max_examples=500, deadline=None)
+def test_equal_sizes_match_the_loop_over_every_twist(args):
+    assert count_equal_sizes(*args) == _equal_sizes_by_loop(*args)
 
 
 @pytest.mark.parametrize("bundle", [T, NT])

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_pairs, mirror, oracle_equivalent, permute_chains, valid_graphs
+from conftest import graph_pairs, map_values, mirror, oracle_equivalent, permute_chains, tweak, valid_graphs
 from hamcircle import (
     Chain,
     DecoratedGraph,
-    FatVertex,
+    all_blowups,
     are_equivalent,
     canonical_json,
     class_key,
@@ -22,12 +22,7 @@ from hamcircle import (
 
 
 def graph(bottom, top, height, *chains, genus=1):
-    return DecoratedGraph(
-        FatVertex(F(bottom), genus),
-        FatVertex(F(top), genus),
-        F(height),
-        tuple(map(Chain, chains)),
-    )
+    return DecoratedGraph(F(bottom), F(top), F(height), genus, tuple(map(Chain, chains)))
 
 
 def chain(*seq):
@@ -57,7 +52,7 @@ def test_compare_by_start_equal_chains():
 def test_compare_by_start_prefix_sorts_first():
     shorter = chain("1/4")
     longer = chain("1/4", 1, "1/2")
-    assert DecoratedGraph(FatVertex(1), FatVertex(1), F(1), (longer, shorter)).chains == (shorter, longer)
+    assert DecoratedGraph(1, 1, F(1), 1, (longer, shorter)).chains == (shorter, longer)
 
 
 def test_compare_by_end_uses_distance_from_top():
@@ -74,6 +69,41 @@ def test_by_end_is_by_start_of_the_flip():
 @given(valid_graphs())
 def test_by_end_matches_flip_order_everywhere(g):
     assert class_key(flip(g)) == class_key(g)
+
+
+# --- fields and genus -----------------------------------------------------------
+
+
+def test_a_graph_is_its_json_fields():
+    fields = dataclasses.fields(DecoratedGraph)
+    assert [f.name for f in fields] == ["bottom_area", "top_area", "height", "genus", "chains"]
+    assert fields[3].default is dataclasses.MISSING
+
+
+def test_graph_refuses_a_missing_or_misplaced_genus():
+    with pytest.raises(TypeError):
+        DecoratedGraph(1, 1, 1)
+    # the chains where the genus belongs
+    with pytest.raises(ValueError, match="genus"):
+        DecoratedGraph(1, 1, 1, (Chain(("1/2",)),))
+    for genus in (0, True, 1.0):
+        with pytest.raises(ValueError, match="genus"):
+            DecoratedGraph(1, 1, 1, genus)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_every_graph_building_path_keeps_the_genus(genus):
+    g = graph(1, 2, 1, ("1/4", 3, "1/2"), ("1/8",), genus=genus)
+    built = [
+        flip(g),
+        graph_from_json_dict(to_json_dict(g)),
+        *all_blowups(g, F(1, 16)),
+        map_values(g, lambda x: 2 * x),
+        mirror(g),
+        tweak(g),
+        tweak(graph(1, 2, 1, genus=genus)),
+    ]
+    assert len(built) == 11 and {b.genus for b in built} == {genus}
 
 
 # --- flips and keys -----------------------------------------------------------
@@ -153,7 +183,8 @@ def test_validate_allows_equal_heights_across_chains():
 
 
 def test_are_same_on_a_copy():
-    copy = DecoratedGraph(ONE_CHAIN.bottom, ONE_CHAIN.top, ONE_CHAIN.height, ONE_CHAIN.chains)
+    g = ONE_CHAIN
+    copy = DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, g.chains)
     assert ONE_CHAIN == copy
 
 
@@ -226,7 +257,7 @@ def test_equivalent_graphs_share_keys(pair):
     g1, g2 = pair
     if are_equivalent(g1, g2):
         assert class_key(g1) == class_key(g2)
-        assert {g1.bottom.area, g1.top.area} == {g2.bottom.area, g2.top.area}
+        assert {g1.bottom_area, g1.top_area} == {g2.bottom_area, g2.top_area}
         assert len(g1.chains) == len(g2.chains)
 
 
@@ -262,7 +293,7 @@ def test_json_round_trip_preserves_the_graph(g):
 def test_byte_equality_matches_are_same(pair):
     g1, g2 = pair
     same_bytes = canonical_json(g1) == canonical_json(g2)
-    assert same_bytes == (g1 == g2 and g1.bottom.genus == g2.bottom.genus)
+    assert same_bytes == (g1 == g2 and g1.genus == g2.genus)
 
 
 def test_mirror_helper_agrees_with_flip():
