@@ -20,18 +20,22 @@ enumerator and a closed-form count.
 
 All numeric output is exact; decimal approximations appear only in fields
 named "approx".
+
+Every ``--format json`` output is one object written by ``_json_text``: one
+key per line, each value compact from the C encoder, and the graphs of
+``enumerate`` one per line, each exactly its ``canonical_json``.  The graphs
+come from ``enumerate_actions``, which builds each of them once.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .enumeration import CountReport, TooManyTwistsError, count_actions, enumerate_actions
 from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
-from .graphs import DecoratedGraph, to_json_dict
+from .graphs import DecoratedGraph, canonical_json, compact_json
 from .vectors import (
     BlowupVector,
     BundleType,
@@ -133,6 +137,23 @@ def _report_json(report: CountReport) -> dict:
     }
 
 
+def _json_text(payload: dict) -> str:
+    """``payload`` as JSON with one key per line and each value compact.
+
+    ``graphs`` holds ``DecoratedGraph``s, written one per line as their
+    canonical JSON.  Any indented layout would send ``json.dumps`` to its
+    pure-Python encoder.
+    """
+    lines = []
+    for key, value in payload.items():
+        if key == "graphs" and value:
+            value_text = "[\n    " + ",\n    ".join(map(canonical_json, value)) + "\n  ]"
+        else:
+            value_text = compact_json(value)
+        lines.append(f"  {compact_json(key)}: {value_text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def _emit(text: str, out_path: str | None) -> int:
     if out_path is None:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -172,7 +193,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "steps": [format_vector(s) for s in steps],
             "iterations": len(steps) - 1,
         }
-        print(json.dumps(payload, indent=2))
+        _emit(_json_text(payload), None)
     else:
         print(f"input:   {format_vector(v)}")
         print(f"reduced: {format_vector(reduced)}")
@@ -210,7 +231,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.formula_crosscheck:
             payload["formula_count"] = formula_value
             payload["formula_kind"] = formula_kind
-        print(json.dumps(payload, indent=2))
+        _emit(_json_text(payload), None)
     else:
         print(f"input: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
         print(f"reduced: {format_vector(report.reduced_vector)} (auto-reduced: {'yes' if report.auto_reduced else 'no'})")
@@ -237,8 +258,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return _emit(to_dot(graphs), args.out)
     payload = _report_json(report)
     payload["count"] = len(graphs)
-    payload["graphs"] = [to_json_dict(g) for g in graphs]
-    return _emit(json.dumps(payload, indent=2), args.out)
+    payload["graphs"] = graphs
+    return _emit(_json_text(payload), args.out)
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
@@ -267,8 +288,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                 "vector": format_vector(emin_vector),
             },
         }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
+        return _emit(_json_text(payload), None)
     print(f"vector: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
     print(f"volume: {volume(v)}")
     branch = "capped by fiber" if width.capped_by_fiber else "volume bound"

@@ -89,7 +89,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .blowups import all_blowups
-from .graphs import Chain, DecoratedGraph, canonical_sort_key, class_key
+from .graphs import Chain, DecoratedGraph, class_key, sort_key_of
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
 # Most ruled-surface graphs (one per twist) that a run will seed.
@@ -242,25 +242,26 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order.
 
     The same run as ``count_actions``; only the lift of its store back to the
-    true lambda_b, and the output, grow with lambda_b/lambda_f.
+    true lambda_b, and the output, grow with lambda_b/lambda_f.  The lift and
+    the sort work on the lattice fields (bottom area, top area, chains) of
+    each graph, since all of them share the height lambda_f and the genus, so
+    each output graph is built exactly once, already in Fractions.
     """
     store, report, t, lf, scale = _staged_run(v)
-    if t:
-        # the lift of the module docstring, still on the lattice
-        store = [
-            DecoratedGraph(g.bottom_area + (t + s) * lf, g.top_area + (t - s) * lf, g.height, g.genus, g.chains)
-            for g in store
-            for s in range(t + 1 if g.top_area <= lf else 1)
-        ]
-    graphs = sorted(store, key=canonical_sort_key)
+    # the lift of the module docstring, on the lattice; s = 0 alone when t = 0
+    rows = [
+        (g.bottom_area + (t + s) * lf, g.top_area + (t - s) * lf, g.chains)
+        for g in store
+        for s in range(t + 1 if g.top_area <= lf else 1)
+    ]
     del store
+    rows.sort(key=lambda row: sort_key_of(lf, *row))
     # Back from the lattice: each value and chain is converted once and shared
     # by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
     chain = functools.cache(lambda c: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(c.seq))))
-    # each lattice graph is freed as soon as its Fraction copy replaces it
-    for i, g in enumerate(graphs):
-        graphs[i] = DecoratedGraph(
-            fraction(g.bottom_area), fraction(g.top_area), fraction(g.height), g.genus, tuple(map(chain, g.chains))
-        )
-    return graphs, report
+    height, genus = fraction(lf), report.reduced_vector.genus
+    # each row is freed as soon as its graph replaces it
+    for i, (bottom, top, chains) in enumerate(rows):
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
+    return rows, report

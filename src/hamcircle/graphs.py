@@ -170,15 +170,16 @@ def are_equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
     return class_key(g1) == class_key(g2)
 
 
+def sort_key_of(
+    height: int | Fraction, bottom_area: int | Fraction, top_area: int | Fraction, chains: tuple[Chain, ...]
+) -> tuple:
+    """``canonical_sort_key`` of the graph with these fields, chains sorted, without building it."""
+    return (height, bottom_area, top_area, len(chains), tuple(map(_SEQ, chains)))
+
+
 def canonical_sort_key(g: DecoratedGraph) -> tuple:
     """Deterministic total order on graphs, used for stable output listings."""
-    return (
-        g.height,
-        g.bottom_area,
-        g.top_area,
-        len(g.chains),
-        tuple(c.seq for c in g.chains),
-    )
+    return sort_key_of(g.height, g.bottom_area, g.top_area, g.chains)
 
 
 # --- canonical JSON form ---------------------------------------------------
@@ -198,8 +199,13 @@ def to_json_dict(g: DecoratedGraph) -> dict:
     }
 
 
+# One encoder for every call: ``json.dumps`` builds a new one whenever the
+# separators are not the default.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def canonical_json(g: DecoratedGraph) -> str:
-    return json.dumps(to_json_dict(g), separators=(",", ":"))
+    return compact_json(to_json_dict(g))
 
 
 def graph_from_json_dict(data: dict) -> DecoratedGraph:

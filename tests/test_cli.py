@@ -7,7 +7,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from hamcircle import graph_from_json_dict
+from hamcircle import (
+    BundleType,
+    canonical_json,
+    count_actions,
+    cremona_reduce,
+    emin,
+    enumerate_actions,
+    graph_from_json_dict,
+    gromov_width,
+    packing_number,
+    to_json_dict,
+    volume,
+)
 from hamcircle.cli import (
     EXIT_BUG,
     EXIT_DOMAIN,
@@ -15,6 +27,7 @@ from hamcircle.cli import (
     EXIT_USAGE,
     MAX_SCALAR_DIGITS,
     MAX_VECTOR_DIGITS,
+    _crosscheck,
     format_vector,
     main,
     parse_vector,
@@ -262,6 +275,14 @@ def test_count_far_past_the_onset_is_quick(capsys):
     assert time.perf_counter() - start < 2
     assert code == EXIT_OK and err == ""
     assert "actions: 2399988" in out
+    # the JSON lists the same twists, on one line
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "-v", "1,100000;1/2,1/4,1/8", "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    assert payload["initial_twists"] == list(range(0, 200000, 2))
+    assert payload["count"] == 2399988
 
 
 def test_equal_sizes_crosscheck_far_past_the_onset_is_quick(capsys):
@@ -404,6 +425,128 @@ def test_invariants_width_beyond_the_float_range(capsys):
     code, out, err = run(capsys, "invariants", "-v", f"{big},{big}", "--format", "json")
     assert code == EXIT_OK and err == ""
     assert math.isclose(json.loads(out)["width_approx"], float(F(big)))
+
+
+# --- the JSON layout ----------------------------------------------------------------------
+#
+# Every subcommand writes one key per line with a compact value, and the graphs
+# one per line; the reference is the earlier layout, json.dumps(payload,
+# indent=2), of a payload built here from the library.
+
+
+def _report_payload(report):
+    return {
+        "input": format_vector(report.input_vector),
+        "bundle": report.input_vector.bundle.value,
+        "genus": report.input_vector.genus,
+        "reduced": format_vector(report.reduced_vector),
+        "auto_reduced": report.auto_reduced,
+        "initial_twists": list(report.initial_twists),
+        "stage_counts": list(report.stage_counts),
+        "count": report.count,
+    }
+
+
+def _indented_reference(command, v):
+    if command == "reduce":
+        steps = cremona_reduce(v).steps
+        payload = {
+            "input": format_vector(v),
+            "reduced": format_vector(steps[-1]),
+            "steps": [format_vector(s) for s in steps],
+            "iterations": len(steps) - 1,
+        }
+    elif command == "count":
+        report = count_actions(v)
+        payload = _report_payload(report)
+        payload["formula_count"], payload["formula_kind"] = _crosscheck(report)
+    elif command == "enumerate":
+        graphs, report = enumerate_actions(v)
+        payload = _report_payload(report)
+        payload["count"] = len(graphs)
+        payload["graphs"] = [to_json_dict(g) for g in graphs]
+    else:
+        width, reduced = gromov_width(v), cremona_reduce(v).vector
+        minimal = emin(reduced) if v.k else None
+        payload = {
+            "vector": format_vector(v),
+            "bundle": v.bundle.value,
+            "genus": v.genus,
+            "volume": str(volume(v)),
+            "width_squared": str(width.width_squared),
+            "width_capped_by_fiber": width.capped_by_fiber,
+            "width_approx": width.approx,
+            "packing_number": packing_number(v),
+            "emin": None
+            if minimal is None
+            else {
+                "classes": sorted(str(c) for c in minimal.classes),
+                "case": minimal.case.value,
+                "tail_start": minimal.tail_start,
+                "vector": format_vector(reduced),
+            },
+        }
+    return json.dumps(payload, indent=2)
+
+
+def _layout(out):
+    """The keys with their value text, one line each, and the graph rows."""
+    lines = out.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    keys, rows = [], None
+    for line in lines[1:-2]:
+        if rows is not None and line.startswith("    "):
+            rows.append(line[4:].removesuffix(","))
+            continue
+        if line in ("  ]", "  ],"):
+            assert rows
+            continue
+        assert line.startswith('  "')
+        key, _, value = line[2:].partition(": ")
+        keys.append((json.loads(key), value.removesuffix(",")))
+        if value == "[":
+            rows = []
+    return keys, rows
+
+
+LAYOUT_VECTORS = [
+    ("1,2;1/4,1/16", "trivial"),  # reduced, crosschecked by max_count
+    ("3,3;2,2", "trivial"),  # auto-reduced
+    ("2,10;1.9,1.9,1.9,1.9", "nontrivial"),  # auto-reduced, no closed form
+    ("1,40;1/2,1/3,1/5", "nontrivial"),  # past the onset: the store is lifted
+    ("2,3;1/2", "nontrivial"),  # equal sizes
+    ("3,7", "trivial"),  # k = 0
+    ("12,2;3,3", "trivial"),  # no action
+]
+
+
+@pytest.mark.parametrize("text, bundle", LAYOUT_VECTORS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate",),
+        ("count", "--formula-crosscheck", "--format", "json"),
+        ("reduce", "--format", "json"),
+        ("invariants", "--format", "json"),
+    ],
+)
+def test_json_layout_keeps_the_indented_content(capsys, tmp_path, text, bundle, argv):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "-v", text, "-b", bundle, *flags)
+    assert code == EXIT_OK and err == ""
+    v = parse_vector(text, BundleType(bundle))
+    payload = json.loads(out)
+    assert payload == json.loads(_indented_reference(command, v))
+    keys, rows = _layout(out)
+    assert [key for key, _ in keys] == list(payload)
+    for key, value in keys:
+        if key != "graphs" or not payload["graphs"]:
+            assert value == json.dumps(payload[key], separators=(",", ":"))
+    if command == "enumerate":
+        assert (rows or []) == [canonical_json(g) for g in enumerate_actions(v)[0]]
+        target = tmp_path / "out.json"
+        assert run(capsys, command, "-v", text, "-b", bundle, "--out", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 # --- parser-level behaviour --------------------------------------------------------------

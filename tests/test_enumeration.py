@@ -506,3 +506,28 @@ def test_enumeration_output_matches_the_golden_digests(text, bundle, count, dige
     graphs, _ = enumerate_actions(parse_vector(text, bundle))
     assert len(graphs) == count
     assert hashlib.sha256("\n".join(canonical_json(g) for g in graphs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text, fibers",
+    [("1,2;1/4,1/16,1/64,1/256", 0), ("1,40;1/2,1/3,1/5", 37)],
+)
+def test_enumerate_builds_each_output_graph_once(monkeypatch, text, fibers):
+    # beyond the staged run, the lift, sort and conversion construct one
+    # DecoratedGraph per graph handed out, whether the store is lifted or not
+    import hamcircle.enumeration as enumeration
+
+    v = parse_vector(text)
+    built = 0
+    post_init = DecoratedGraph.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting)
+    assert enumeration._staged_run(v)[2] == fibers
+    staged, built = built, 0
+    graphs, _ = enumerate_actions(v)
+    assert staged > 0 and built == staged + len(graphs)

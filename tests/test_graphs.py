@@ -1,12 +1,14 @@
 """Decorated graphs: ordering, flips, equivalence, canonical serialization."""
 
 import dataclasses
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_pairs, map_values, mirror, oracle_equivalent, permute_chains, tweak, valid_graphs
+from conftest import blown_graphs, graph_pairs, map_values, mirror, oracle_equivalent, permute_chains, tweak, valid_graphs
 from hamcircle import (
     Chain,
     DecoratedGraph,
@@ -287,6 +289,12 @@ def test_json_round_trip_preserves_the_graph(g):
     back = graph_from_json_dict(to_json_dict(g))
     assert back == g
     assert canonical_json(back) == canonical_json(g)
+
+
+@given(st.one_of(valid_graphs(), blown_graphs()))
+def test_canonical_json_is_the_compact_dumps(g):
+    # the spelling canonical_json had before it kept one encoder for every call
+    assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
 
 
 @given(graph_pairs())
