@@ -124,6 +124,11 @@ def to_dot(graphs: list[DecoratedGraph]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _twist_range(twists: range) -> dict:
+    """The twists as three numbers, however many there are; an empty range has number 0."""
+    return {"first": twists.start, "step": twists.step, "number": len(twists)}
+
+
 def _report_json(report: CountReport) -> dict:
     return {
         "input": format_vector(report.input_vector),
@@ -131,7 +136,7 @@ def _report_json(report: CountReport) -> dict:
         "genus": report.input_vector.genus,
         "reduced": format_vector(report.reduced_vector),
         "auto_reduced": report.auto_reduced,
-        "initial_twists": list(report.initial_twists),
+        "initial_twists": _twist_range(report.initial_twists),
         "stage_counts": list(report.stage_counts),
         "count": report.count,
     }
@@ -235,7 +240,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         print(f"input: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
         print(f"reduced: {format_vector(report.reduced_vector)} (auto-reduced: {'yes' if report.auto_reduced else 'no'})")
-        print(f"initial twists: {list(report.initial_twists)}")
+        twists = _twist_range(report.initial_twists).items()
+        print("initial twists: " + ", ".join(f"{name} {value}" for name, value in twists))
         print(f"stage counts: {list(report.stage_counts)}")
         print(f"actions: {report.count}")
         if args.formula_crosscheck:

@@ -259,9 +259,10 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     # Back from the lattice: each value and chain is converted once and shared
     # by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
-    chain = functools.cache(lambda c: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(c.seq))))
+    # keyed by the lattice seq: a tuple hashes in C, a Chain in the dataclass's Python __hash__
+    chain = functools.cache(lambda seq: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(seq))))
     height, genus = fraction(lf), report.reduced_vector.genus
     # each row is freed as soon as its graph replaces it
     for i, (bottom, top, chains) in enumerate(rows):
-        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple([chain(c.seq) for c in chains]))
     return rows, report

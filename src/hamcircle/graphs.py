@@ -23,9 +23,12 @@ and the form of its flip, so equivalence is key equality.
 Distinct chains may contain vertices at equal heights; this really happens,
 e.g. after two half-fiber blowups from opposite fat vertices.
 
-Heights and areas are exact: an int stays an int, anything else becomes a
-``Fraction``, and floats are refused.  The staged enumeration builds its
-graphs on an integer lattice and converts them to Fractions only for output.
+Heights and areas are exact: a value that is already an int or a
+``Fraction`` is kept as given, anything else becomes a ``Fraction`` (a
+string, a bool, a ``Fraction`` subclass), and floats are refused; labels
+are ints.  The staged enumeration builds its graphs on an integer lattice
+and converts them to Fractions only for output, so neither pays for a
+conversion it does not need.
 """
 
 from __future__ import annotations
@@ -52,9 +55,16 @@ class Chain:
     def __post_init__(self) -> None:
         if not isinstance(self.seq, (tuple, list)):
             raise TypeError(f"a chain is a tuple or list of heights and labels, not {self.seq!r}")
-        seq = list(self.seq)
-        if len(seq) % 2 == 0:
+        if len(self.seq) % 2 == 0:
             raise ValueError("a chain alternates vertices and edges: v0, e1, v1, ..., vm, at least one vertex")
+        if type(self.seq) is tuple:
+            # kept as given when every label is an int and every height an int or a Fraction
+            for i, x in enumerate(self.seq):
+                if type(x) is not int and (i % 2 or type(x) is not Fraction):
+                    break
+            else:
+                return
+        seq = list(self.seq)
         seq[::2] = map(as_exact, seq[::2])
         seq[1::2] = map(operator.index, seq[1::2])
         object.__setattr__(self, "seq", tuple(seq))
@@ -91,9 +101,10 @@ class DecoratedGraph:
     chains: tuple[Chain, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bottom_area", as_exact(self.bottom_area))
-        object.__setattr__(self, "top_area", as_exact(self.top_area))
-        object.__setattr__(self, "height", as_exact(self.height))
+        for name in ("bottom_area", "top_area", "height"):
+            value = getattr(self, name)
+            if type(value) is not int and type(value) is not Fraction:
+                object.__setattr__(self, name, as_exact(value))
         if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
             raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
         object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_SEQ)))
@@ -205,7 +216,18 @@ compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def canonical_json(g: DecoratedGraph) -> str:
-    return compact_json(to_json_dict(g))
+    """``compact_json(to_json_dict(g))``, spelled directly.
+
+    No value needs escaping: the genus and the labels are ints, and every
+    height and area is an int or a ``Fraction``, which print as digits, ``-``
+    and ``/``.
+    """
+    # each chain word with its heights quoted and its labels bare
+    chains = ",".join([('["%s"' + ',%s,"%s"' * (len(c.seq) // 2) + "]") % c.seq for c in g.chains])
+    return (
+        f'{{"height":"{g.height}","genus":{g.genus},"bottom_area":"{g.bottom_area}",'
+        f'"top_area":"{g.top_area}","chains":[{chains}]}}'
+    )
 
 
 def graph_from_json_dict(data: dict) -> DecoratedGraph:

@@ -206,6 +206,26 @@ def test_count_nontrivial_bundle(capsys):
     assert "actions: 2" in out
 
 
+@pytest.mark.parametrize(
+    "vector, bundle, twists",
+    [
+        ("3,3;2,2", "trivial", (0, 2, 1)),  # the twists of the reduced vector 3,2;1,1
+        ("1,3;1/2", "trivial", (0, 2, 3)),
+        ("1,7/2;1/4", "nontrivial", (1, 2, 3)),
+        ("2,1/2", "nontrivial", (1, 2, 0)),  # the base is too small for the odd twist
+    ],
+)
+def test_count_writes_the_twists_as_a_range(capsys, vector, bundle, twists):
+    first, step, number = twists
+    code, out, _ = run(capsys, "count", "-v", vector, "-b", bundle)
+    assert code == EXIT_OK
+    assert f"initial twists: first {first}, step {step}, number {number}\n" in out
+    for command in ("count", "enumerate"):
+        code, out, _ = run(capsys, command, "-v", vector, "-b", bundle, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["initial_twists"] == {"first": first, "step": step, "number": number}
+
+
 def test_count_json_schema(capsys):
     code, out, _ = run(capsys, "count", "-v", "3,3;2,2", "--format", "json")
     assert code == EXIT_OK
@@ -274,14 +294,14 @@ def test_count_far_past_the_onset_is_quick(capsys):
     code, out, err = run(capsys, "count", "-v", "1,100000;1/2,1/4,1/8")
     assert time.perf_counter() - start < 2
     assert code == EXIT_OK and err == ""
-    assert "actions: 2399988" in out
-    # the JSON lists the same twists, on one line
+    assert "initial twists: first 0, step 2, number 100000\n" in out and "actions: 2399988" in out
+    # the JSON gives the same twists as the same three numbers
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "-v", "1,100000;1/2,1/4,1/8", "--format", "json")
     assert time.perf_counter() - start < 2
     assert code == EXIT_OK and err == ""
     payload = json.loads(out)
-    assert payload["initial_twists"] == list(range(0, 200000, 2))
+    assert payload["initial_twists"] == {"first": 0, "step": 2, "number": 100000}
     assert payload["count"] == 2399988
 
 
@@ -441,7 +461,11 @@ def _report_payload(report):
         "genus": report.input_vector.genus,
         "reduced": format_vector(report.reduced_vector),
         "auto_reduced": report.auto_reduced,
-        "initial_twists": list(report.initial_twists),
+        "initial_twists": {
+            "first": report.initial_twists.start,
+            "step": report.initial_twists.step,
+            "number": len(report.initial_twists),
+        },
         "stage_counts": list(report.stage_counts),
         "count": report.count,
     }

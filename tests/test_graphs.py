@@ -2,25 +2,39 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blown_graphs, graph_pairs, map_values, mirror, oracle_equivalent, permute_chains, tweak, valid_graphs
+from conftest import (
+    blown_graphs,
+    graph_pairs,
+    map_values,
+    mirror,
+    oracle_equivalent,
+    permute_chains,
+    random_cone_vector,
+    tweak,
+    valid_graphs,
+)
 from hamcircle import (
+    BundleType,
     Chain,
     DecoratedGraph,
     all_blowups,
     are_equivalent,
     canonical_json,
     class_key,
+    enumerate_actions,
     flip,
     graph_from_json_dict,
     to_json_dict,
     validate,
 )
+from hamcircle.enumeration import _staged_run
 
 
 def graph(bottom, top, height, *chains, genus=1):
@@ -106,6 +120,64 @@ def test_every_graph_building_path_keeps_the_genus(genus):
         tweak(graph(1, 2, 1, genus=genus)),
     ]
     assert len(built) == 11 and {b.genus for b in built} == {genus}
+
+
+# --- exact values --------------------------------------------------------------
+#
+# A value that is already an int or a Fraction is kept as given; anything else
+# goes through ``as_exact``, and a label through ``operator.index``.
+
+
+class Q(F):
+    """A Fraction subclass, which the constructors store as a plain Fraction."""
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DecoratedGraph(0.5, F(1), F(1), 1),
+        lambda: DecoratedGraph(F(1), 0.5, F(1), 1),
+        lambda: DecoratedGraph(F(1), F(1), 1.0, 1),
+        lambda: DecoratedGraph(1, 1, 1, 1, (Chain((F(1, 4),)), Chain((0.5,)))),
+        lambda: Chain((F(1, 4), 2, 0.5)),
+        lambda: Chain((1, 2.0, 3)),
+    ],
+)
+def test_constructors_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "value, stored",
+    [
+        (lambda: DecoratedGraph("3/4", 2, "1", 1).bottom_area, F(3, 4)),
+        (lambda: DecoratedGraph("3/4", 2, "1", 1).top_area, 2),
+        (lambda: DecoratedGraph("3/4", 2, "1", 1).height, F(1)),
+        (lambda: Chain(("1/4", 2, 3)).seq, (F(1, 4), 2, 3)),
+        (lambda: Chain((F(1, 4), True, F(1, 2))).seq[1], 1),
+        (lambda: Chain([F(1, 4), 2, 1]).seq, (F(1, 4), 2, 1)),
+        (
+            lambda: DecoratedGraph(1, 1, 1, 1, [Chain(("1/2",)), Chain(("1/4",))]).chains,
+            (Chain(("1/4",)), Chain(("1/2",))),
+        ),
+        (lambda: DecoratedGraph(Q(3, 4), 1, 1, 1).bottom_area, F(3, 4)),
+        (lambda: DecoratedGraph(1, 1, Q(1), 1).height, F(1)),
+        (lambda: Chain((Q(1, 4), 2, 1)).seq, (F(1, 4), 2, 1)),
+    ],
+)
+def test_constructors_store_exact_values(value, stored):
+    got = value()
+    # equal, and of exactly the same types: no bool, str, list or subclass survives
+    assert got == stored
+    assert type(got) is type(stored)
+    if isinstance(got, tuple):
+        assert list(map(type, got)) == list(map(type, stored))
+
+
+def test_a_lone_chain_entry_must_be_a_chain():
+    with pytest.raises(AttributeError):
+        DecoratedGraph(1, 1, 1, 1, (("1/2",),))
 
 
 # --- flips and keys -----------------------------------------------------------
@@ -295,6 +367,38 @@ def test_json_round_trip_preserves_the_graph(g):
 def test_canonical_json_is_the_compact_dumps(g):
     # the spelling canonical_json had before it kept one encoder for every call
     assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
+
+
+def _seeded_runs():
+    """Seeded cone vectors on both bundles, k <= 3, many of them past the onset (t >= 1)."""
+    rng = random.Random(2024)
+    for i in range(96):
+        bundle = (BundleType.TRIVIAL, BundleType.NONTRIVIAL)[i % 2]
+        yield random_cone_vector(rng, rng.randint(0, 3), bundle, rng.randint(1, 2), pad_fibers=rng.choice((1, 16)))
+
+
+def test_canonical_json_is_the_compact_dumps_on_enumerated_graphs():
+    graphs = {BundleType.TRIVIAL: 0, BundleType.NONTRIVIAL: 0}
+    past_onset = 0
+    for v in _seeded_runs():
+        output, _ = enumerate_actions(v)
+        for g in output:
+            assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
+        graphs[v.bundle] += len(output)
+        past_onset += _staged_run(v)[2] >= 1
+    assert min(graphs.values()) > 1000 and past_onset >= 40
+
+
+def test_canonical_json_is_the_compact_dumps_on_lattice_graphs():
+    # the stages build their graphs on the integer lattice, every field an int
+    graphs = 0
+    for v in _seeded_runs():
+        for g in _staged_run(v)[0]:
+            values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c.seq)]
+            assert {type(x) for x in values} == {int}
+            assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
+            graphs += 1
+    assert graphs > 500
 
 
 @given(graph_pairs())
