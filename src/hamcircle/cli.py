@@ -14,9 +14,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 the vector does not encode a blowup form (or was
 rejected under --no-reduce), 2 usage or I/O error, input beyond
-MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or a reduced vector with more twists
-than enumeration.MAX_TWISTS, 3 internal consistency failure between the
-enumerator and a closed-form count.
+MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or an ``enumerate`` of more graphs
+than enumeration.MAX_GRAPHS, 3 internal consistency failure between the
+enumerator and a closed-form count.  ``count`` takes any lambda_b.
 
 All numeric output is exact; decimal approximations appear only in fields
 named "approx".
@@ -33,7 +33,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .enumeration import CountReport, TooManyTwistsError, count_actions, enumerate_actions
+from .enumeration import CountReport, TooManyGraphsError, count_actions, enumerate_actions
 from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
 from .graphs import DecoratedGraph, canonical_json, compact_json
 from .vectors import (
@@ -125,8 +125,8 @@ def to_dot(graphs: list[DecoratedGraph]) -> str:
 
 
 def _twist_range(twists: range) -> dict:
-    """The twists as three numbers, however many there are; an empty range has number 0."""
-    return {"first": twists.start, "step": twists.step, "number": len(twists)}
+    """The twists as three numbers, counted without ``len``, which overflows past sys.maxsize."""
+    return {"first": twists.start, "step": twists.step, "number": (twists.stop - twists.start + 1) // 2}
 
 
 def _report_json(report: CountReport) -> dict:
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotBlowupFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except TooManyTwistsError as exc:
+    except TooManyGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,7 @@ from hamcircle.cli import (
     main,
     parse_vector,
 )
-from hamcircle.enumeration import MAX_TWISTS
+from hamcircle.enumeration import MAX_GRAPHS
 
 
 def run(capsys, *argv):
@@ -316,30 +316,68 @@ def test_equal_sizes_crosscheck_far_past_the_onset_is_quick(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "vector, bundle, fmt",
     [
-        ("count", "-v", "1,1e30"),
-        ("count", "-v", "1,1e30;1/2"),
-        ("count", "-v", "1,1e30", "-b", "nontrivial"),
-        ("enumerate", "-v", "1,1e30"),
+        ("1,1e30", "trivial", "text"),
+        ("1,1e30;1/2", "trivial", "text"),
+        ("1,1e30", "nontrivial", "json"),
+        ("3,1e30", "nontrivial", "json"),
     ],
 )
-def test_too_many_twists_is_a_usage_error(capsys, argv):
+def test_count_takes_any_lambda_b(capsys, vector, bundle, fmt):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "-v", vector, "-b", bundle, "--format", fmt, "--formula-crosscheck")
+    assert time.perf_counter() - start < 1
+    # a crosscheck that disagreed would exit 3
+    assert code == EXIT_OK and err == ""
+    # the twists n < 2*lambda_b/lambda_f of the bundle's parity, more than len() of a range can count
+    v = parse_vector(vector)
+    first = int(bundle == "nontrivial")
+    number = math.ceil(v.lambda_b / v.lambda_f - F(first, 2))
+    assert number > 10**29
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["initial_twists"] == {"first": first, "step": 2, "number": number}
+        assert payload["formula_count"] == payload["count"]
+    else:
+        assert f"initial twists: first {first}, step 2, number {number}\n" in out and "crosscheck (" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-v", "1,1e30"),
+        ("enumerate", "-v", "1,1e30;1/2", "--format", "dot"),
+        ("enumerate", "-v", "1,100000;1/2,1/4,1/8"),
+    ],
+)
+def test_too_many_graphs_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: ") and f"limit of {MAX_TWISTS}" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and f"graphs exceed the limit of {MAX_GRAPHS}\n" in err and err.count("\n") == 1
 
 
-def test_twist_limit_is_inclusive(capsys, monkeypatch):
+def test_graph_limit_is_inclusive(capsys, monkeypatch):
     import hamcircle.enumeration as enumeration
 
-    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
-    code, out, _ = run(capsys, "count", "-v", "1,3")
-    assert code == EXIT_OK and "actions: 3" in out
-    code, _, err = run(capsys, "enumerate", "-v", "1,7/2")
-    assert code == EXIT_USAGE and err == "error: 4 twists exceed the limit of 3\n"
+    monkeypatch.setattr(enumeration, "MAX_GRAPHS", 3)
+    code, out, _ = run(capsys, "enumerate", "-v", "1,3")
+    assert code == EXIT_OK and json.loads(out)["count"] == 3
+    code, out, err = run(capsys, "enumerate", "-v", "1,7/2")
+    assert code == EXIT_USAGE and out == "" and err == "error: 4 graphs exceed the limit of 3\n"
+    code, out, _ = run(capsys, "count", "-v", "1,7/2")
+    assert code == EXIT_OK and "actions: 4" in out
+
+
+def test_enumerate_past_the_budget_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "graphs.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "-v", "1,1e30;1/2", "--out", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_genus_flag_must_be_positive(capsys):

@@ -16,13 +16,14 @@ from hamcircle import (
     DecoratedGraph,
     GraphStore,
     NotBlowupFormError,
-    TooManyTwistsError,
+    TooManyGraphsError,
     all_blowups,
     are_equivalent,
     blowup_stage,
     canonical_json,
     canonical_sort_key,
     check_cone,
+    class_key,
     count_actions,
     cremona,
     cremona_move,
@@ -36,7 +37,7 @@ from hamcircle import (
     swap_bundle,
 )
 from hamcircle.cli import parse_vector
-from hamcircle.formulas import count_ruled, max_count, max_count_conditions
+from hamcircle.formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
 
 T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 
@@ -178,48 +179,72 @@ def test_count_flags_exactly_the_non_reduced_vectors(v):
     assert count_actions(v).auto_reduced == (not is_g_reduced(v))
 
 
-def test_library_twist_bound():
-    for v in (BlowupVector(1, 10**30), BlowupVector(1, 10**6)):
+def test_library_graph_bound():
+    # 10**6 + 1 graphs and 2*10**30 - 1 graphs, refused without building them
+    for v in (BlowupVector(1, 10**6 + 1), BlowupVector(1, 10**30, (F(1, 2),))):
         start = time.perf_counter()
-        with pytest.raises(TooManyTwistsError, match="twists exceed the limit of 100000"):
-            count_actions(v)
+        with pytest.raises(TooManyGraphsError, match="graphs exceed the limit of 1000000$"):
+            enumerate_actions(v)
         assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(TooManyGraphsError, match="^1000000000000000000000000000000 graphs exceed"):
+        initial_graphs(1, 10**30, T, 1)
+    assert time.perf_counter() - start < 1
 
 
-def test_library_twist_bound_is_inclusive_and_applies_after_reduction(monkeypatch):
+def test_library_graph_bound_is_inclusive(monkeypatch):
     import hamcircle.enumeration as enumeration
 
-    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
-    assert list(initial_twists(1, 3, T)) == [0, 2, 4]
-    assert list(initial_twists(1, F(7, 2), NT)) == [1, 3, 5]
-    with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
-        initial_twists(1, F(7, 2), T)
-    assert count_actions(BlowupVector(1, 3)).count == 3
-    with pytest.raises(TooManyTwistsError):
+    monkeypatch.setattr(enumeration, "MAX_GRAPHS", 3)
+    assert len(initial_graphs(1, 3, T, 1)) == len(initial_graphs(1, F(7, 2), NT, 1)) == 3
+    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
+        initial_graphs(1, F(7, 2), T, 1)
+    assert len(enumerate_actions(BlowupVector(1, 3))[0]) == 3
+    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
         enumerate_actions(BlowupVector(1, F(7, 2)))
-    # two twists before reduction, one after
-    monkeypatch.setattr(enumeration, "MAX_TWISTS", 1)
-    report = count_actions(BlowupVector(1, F(3, 2), (F(9, 10), F(9, 10))))
-    assert report.auto_reduced and tuple(report.initial_twists) == (0,)
+    # a count hands out no graph, so it is never refused
+    assert count_actions(BlowupVector(1, 10**30)).count == 10**30
 
 
-def test_twist_bound_is_checked_before_any_graph_is_built(monkeypatch):
+def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
     import hamcircle.enumeration as enumeration
 
-    def no_graphs(*args):
-        raise AssertionError("a graph was built")
+    def refuse(*args):
+        raise AssertionError("called past the budget")
 
-    monkeypatch.setattr(enumeration, "initial_graphs", no_graphs)
-    monkeypatch.setattr(enumeration, "blowup_stage", no_graphs)
-    with pytest.raises(TooManyTwistsError):
-        count_actions(BlowupVector(1, 10**6, (F(1, 2), F(1, 4))))
-    # the count would only build the twists near the onset, yet the bound is
-    # on the twists of the true reduced vector, which the report lists
-    monkeypatch.setattr(enumeration, "MAX_TWISTS", 3)
-    with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
-        count_actions(BlowupVector(1, F(7, 2), (F(1, 4),)))
-    with pytest.raises(TooManyTwistsError, match="^4 twists exceed the limit of 3$"):
-        enumerate_actions(BlowupVector(1, F(7, 2), (F(1, 4),)))
+    # only the lift sorts by sort_key_of
+    monkeypatch.setattr(enumeration, "sort_key_of", refuse)
+    with pytest.raises(AssertionError, match="called past the budget"):
+        enumerate_actions(BlowupVector(1, 3))
+    with pytest.raises(TooManyGraphsError):
+        enumerate_actions(BlowupVector(1, 10**6, (F(1, 2), F(1, 4))))
+    monkeypatch.setattr(enumeration, "MAX_GRAPHS", 3)
+    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
+        enumerate_actions(BlowupVector(1, F(7, 2)))
+    # and initial_graphs refuses before it builds a seed
+    monkeypatch.setattr(enumeration, "DecoratedGraph", refuse)
+    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
+        initial_graphs(1, F(7, 2), T, 1)
+
+
+@pytest.mark.parametrize(
+    "v, closed_form",
+    [
+        (BlowupVector(1, 10**30), lambda: count_ruled(1, 10**30, T)),
+        (BlowupVector(1, 10**30, bundle=NT), lambda: count_ruled(1, 10**30, NT)),
+        (BlowupVector(1, 10**30, (F(1, 2),)), lambda: count_equal_sizes(1, 10**30, F(1, 2), 1, T)),
+        (BlowupVector(1, 10**30, (F(1, 2),) * 6, NT), lambda: count_equal_sizes(1, 10**30, F(1, 2), 6, NT)),
+        (BlowupVector(3, 10**50 + F(1, 7), (F(5, 4), F(1, 3), F(1, 5)), NT), None),
+    ],
+    ids=["ruled", "ruled-nontrivial", "half", "six-halves-nontrivial", "unequal-nontrivial"],
+)
+def test_count_takes_any_lambda_b(v, closed_form):
+    start = time.perf_counter()
+    report = count_actions(v)
+    assert time.perf_counter() - start < 1
+    assert report.count > 10**29
+    if closed_form is not None:
+        assert report.count == closed_form()
 
 
 @st.composite
@@ -386,6 +411,41 @@ def _naive_count(v):
 def test_pipeline_matches_a_storeless_oracle_enumeration(v):
     graphs, report = enumerate_actions(v)
     assert len(graphs) == _naive_count(v)
+
+
+def _all_orders_classes(w):
+    """The class keys that staged runs from the ruled-surface graphs of ``w``
+    reach over every distinct order of its deltas; orders share their prefixes."""
+    keys = set()
+
+    def run(store, rest):
+        if not rest:
+            keys.update(map(class_key, store))
+        for delta in set(rest):
+            left = list(rest)
+            left.remove(delta)
+            run(blowup_stage(store, delta), left)
+
+    run(GraphStore(initial_graphs(w.lambda_f, w.lambda_b, w.bundle, w.genus)), w.deltas)
+    return keys
+
+
+# Every action on the blowup comes from a ruled-surface action by equivariant
+# blowups of the prescribed sizes in any order (Karshon, Mem. AMS 672), so a
+# class reached in any order must already be among the largest-first classes
+# of the search.  The moves are shared with the search: this checks the order.
+@given(cone_vectors(min_k=2, max_k=4, small=True))
+@example(BlowupVector(1, F(3, 2), (F(1, 2), F(1, 3), F(1, 4)), T))  # 2*delta == lambda_f
+@example(BlowupVector(2, 3, (1, F(3, 4), F(1, 2), F(1, 4)), NT))
+@example(BlowupVector(1, F(5, 4), (F(1, 3), F(1, 3), F(1, 5), F(1, 5)), T))  # equal deltas
+@example(BlowupVector(1, F(7, 4), (F(1, 2), F(1, 2), F(1, 4)), NT))
+@example(BlowupVector(1, 4, (F(1, 2), F(1, 3), F(1, 4)), T))  # t >= 1 past the onset
+@example(BlowupVector(1, 4, (F(1, 2), F(1, 4), F(1, 5)), NT))
+@settings(max_examples=40, deadline=None)
+def test_every_order_of_the_deltas_reaches_only_the_enumerated_classes(v):
+    w = cremona_reduce(v).vector
+    enumerated = {class_key(g) for g in enumerate_actions(w)[0]}
+    assert _all_orders_classes(w) <= enumerated
 
 
 def test_counts_do_not_depend_on_the_genus():
