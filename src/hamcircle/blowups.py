@@ -71,7 +71,7 @@ def blowup_interior(
     and the upper endpoint strictly below the vertex above (or the height).
     """
     delta = _check_delta(delta)
-    seq = g.chains[chain_index].seq
+    seq = g.chains[chain_index]
     i = 2 * vertex_index
     last = i + 1 == len(seq)
     below = seq[i - 1] if i else 1

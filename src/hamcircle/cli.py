@@ -23,8 +23,9 @@ named "approx".
 
 Every ``--format json`` output is one object written by ``_json_text``: one
 key per line, each value compact from the C encoder, and the graphs of
-``enumerate`` one per line, each exactly its ``canonical_json``.  The graphs
-come from ``enumerate_actions``, which builds each of them once.
+``enumerate`` one per line, each exactly its ``canonical_json`` and written
+as it is spelled.  The graphs come from ``enumerate_actions``, which builds
+each of them once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .enumeration import CountReport, TooManyGraphsError, count_actions, enumerate_actions
 from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
@@ -142,30 +144,32 @@ def _report_json(report: CountReport) -> dict:
     }
 
 
-def _json_text(payload: dict) -> str:
-    """``payload`` as JSON with one key per line and each value compact.
+def _json_text(payload: dict) -> Iterator[str]:
+    """``payload`` as JSON with one key per line and each value compact, in pieces.
 
     ``graphs`` holds ``DecoratedGraph``s, written one per line as their
-    canonical JSON.  Any indented layout would send ``json.dumps`` to its
-    pure-Python encoder.
+    canonical JSON, one piece each, so the whole text is never held at once.
+    Any indented layout would send ``json.dumps`` to its pure-Python encoder.
     """
-    lines = []
-    for key, value in payload.items():
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield f"{',' if i else ''}\n  {compact_json(key)}: "
         if key == "graphs" and value:
-            value_text = "[\n    " + ",\n    ".join(map(canonical_json, value)) + "\n  ]"
+            for j, g in enumerate(value):
+                yield (",\n    " if j else "[\n    ") + canonical_json(g)
+            yield "\n  ]"
         else:
-            value_text = compact_json(value)
-        lines.append(f"  {compact_json(key)}: {value_text}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+            yield compact_json(value)
+    yield "\n}\n"
 
 
-def _emit(text: str, out_path: str | None) -> int:
+def _emit(pieces: Iterable[str], out_path: str | None) -> int:
     if out_path is None:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.writelines(pieces)
         return EXIT_OK
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -261,7 +265,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     graphs, report = enumerate_actions(args.vector)
     if args.format == "dot":
-        return _emit(to_dot(graphs), args.out)
+        return _emit([to_dot(graphs)], args.out)
     payload = _report_json(report)
     payload["count"] = len(graphs)
     payload["graphs"] = graphs

@@ -10,8 +10,9 @@ vertical translation and flip after every stage.  The store is a dict keyed by
 Inputs with unsorted or defect-positive deltas are first brought to reduced
 form: the count only depends on the symplectomorphism class, and the staged
 search is only correct for reduced vectors.  ``count_actions`` takes any
-lambda_b; ``MAX_GRAPHS`` bounds only the graphs that a call hands out, before
-it builds one.  A report holds the twists as a ``range``, whatever their number.
+lambda_b.  ``MAX_GRAPHS`` bounds the graphs that a call hands out, before it
+builds one, and through ``initial_graphs`` the search's seeds, about
+2*(S/lambda_f + 2) twists (below), even in a count; nothing bounds the stages.
 
 Every height and area the stages produce is an integer combination of
 lambda_f/2, lambda_b and the deltas.  A run therefore multiplies the reduced
@@ -93,7 +94,7 @@ from .graphs import Chain, DecoratedGraph, class_key, sort_key_of
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
 # Most graphs that one call hands out: an ``enumerate`` of 10**6 graphs takes about
-# 0.7 GB of memory and 20 s (measured with Python 3.11 on one Xeon core).
+# 0.31 GB of memory and 20 s (measured with Python 3.11 on one Xeon core).
 MAX_GRAPHS = 10**6
 
 
@@ -230,7 +231,8 @@ def count_actions(v: BlowupVector) -> CountReport:
     does not change the answer.  Past the onset the stages run on a lowered
     lambda_b and the counts are extrapolated exactly, so the cost depends on k
     and sum(deltas)/lambda_f, not on lambda_b/lambda_f, and any lambda_b is
-    taken.
+    taken.  It raises ``TooManyGraphsError`` when the lowered run needs more
+    than ``MAX_GRAPHS`` seeds, whatever the count.
     """
     return _staged_run(v)[1]
 
@@ -259,10 +261,9 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     # Back from the lattice: each value and chain is converted once and shared
     # by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
-    # keyed by the lattice seq: a tuple hashes in C, a Chain in the dataclass's Python __hash__
-    chain = functools.cache(lambda seq: Chain(tuple(x if i % 2 else fraction(x) for i, x in enumerate(seq))))
+    chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
     height, genus = fraction(lf), report.reduced_vector.genus
     # each row is freed as soon as its graph replaces it
     for i, (bottom, top, chains) in enumerate(rows):
-        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple([chain(c.seq) for c in chains]))
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
     return rows, report

@@ -8,15 +8,15 @@ normalized so the bottom fat vertex sits at 0 and the top at ``height``; the
 vertical-translation quotient then becomes literal equality, and the flip is
 an explicit involution.
 
-A chain is one word, the alternating sequence ``seq = (v0, e1, v1, ..., vm)``
-of interior vertex heights and edge labels, read from the bottom; its
-heights are ``seq[::2]`` and its labels ``seq[1::2]``.  Edge labels are the
+A chain is one word, a tuple alternating interior vertex heights and edge
+labels ``(v0, e1, v1, ..., vm)``, read from the bottom; its heights are
+``chain[::2]`` and its labels ``chain[1::2]``.  Edge labels are the
 isotropy orders of the gradient spheres; the edges touching a fat vertex
 always carry label 1 and are not stored.  Chains are compared as words,
-letter by letter, either from the start (``seq`` itself) or from the end
-(``seq`` reversed, heights replaced by their distance from the top); a chain
-that is a strict prefix of another sorts first.  A graph keeps its chains
-sorted by ``seq``, so dataclass equality is node-for-node equality.  Each
+letter by letter, either from the start (the chain itself) or from the end
+(the chain reversed, heights replaced by their distance from the top); a
+chain that is a strict prefix of another sorts first.  A graph keeps its
+chains sorted, so graph equality is node-for-node equality.  Each
 equivalence class has one hashable key, the smaller of the graph's own form
 and the form of its flip, so equivalence is key equality.
 
@@ -42,56 +42,45 @@ from fractions import Fraction
 from .vectors import as_exact
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(tuple):
     """Interior fixed points of one edge path between the two fat vertices.
 
-    ``seq`` alternates vertex heights and edge labels, v0, e1, v1, ..., vm,
-    from the bottom up.
+    The chain is its word v0, e1, v1, ..., vm of vertex heights and edge
+    labels, from the bottom up.
     """
 
-    seq: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.seq, (tuple, list)):
-            raise TypeError(f"a chain is a tuple or list of heights and labels, not {self.seq!r}")
-        if len(self.seq) % 2 == 0:
+    def __new__(cls, seq: tuple | list) -> Chain:
+        if not isinstance(seq, (tuple, list)):
+            raise TypeError(f"a chain is a tuple or list of heights and labels, not {seq!r}")
+        if len(seq) % 2 == 0:
             raise ValueError("a chain alternates vertices and edges: v0, e1, v1, ..., vm, at least one vertex")
-        if type(self.seq) is tuple:
-            # kept as given when every label is an int and every height an int or a Fraction
-            for i, x in enumerate(self.seq):
-                if type(x) is not int and (i % 2 or type(x) is not Fraction):
-                    break
-            else:
-                return
-        seq = list(self.seq)
-        seq[::2] = map(as_exact, seq[::2])
-        seq[1::2] = map(operator.index, seq[1::2])
-        object.__setattr__(self, "seq", tuple(seq))
+        word = list(seq)
+        # labels that are ints and heights that are ints or Fractions are kept as given
+        for i, x in enumerate(word):
+            if type(x) is not int and (i % 2 or type(x) is not Fraction):
+                word[i] = operator.index(x) if i % 2 else as_exact(x)
+        return tuple.__new__(cls, word)
 
     @property
     def heights(self) -> tuple[int | Fraction, ...]:
-        return self.seq[::2]
+        return self[::2]
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return self.seq[1::2]
+        return self[1::2]
 
     def end_key(self, height: int | Fraction) -> tuple:
-        """The sequence read backwards with heights measured from the top."""
-        key = list(reversed(self.seq))
-        key[::2] = [height - h for h in key[::2]]
-        return tuple(key)
-
-
-_SEQ = operator.attrgetter("seq")
+        """The word read backwards with heights measured from the top."""
+        return tuple([x if i % 2 else height - x for i, x in enumerate(reversed(self))])
 
 
 @dataclass(frozen=True)
 class DecoratedGraph:
     """Two fat vertices of genus ``genus`` at heights 0 and ``height`` plus the chains between them.
 
-    The chains are stored sorted by ``seq`` whatever order they are given in.
+    The chains are stored sorted as words whatever order they are given in.
     """
 
     bottom_area: int | Fraction
@@ -107,18 +96,22 @@ class DecoratedGraph:
                 object.__setattr__(self, name, as_exact(value))
         if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
             raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
-        object.__setattr__(self, "chains", tuple(sorted(self.chains, key=_SEQ)))
+        chains = tuple(sorted(self.chains))
+        for c in chains:
+            if not isinstance(c, Chain):
+                raise TypeError(f"a chain entry must be a Chain, not {c!r}")
+        object.__setattr__(self, "chains", chains)
 
 
 def class_key(g: DecoratedGraph) -> tuple:
     """The same tuple for two graphs exactly when they agree up to the flip.
 
     The smaller of the graph's own form (bottom area, top area, height, chain
-    sequences) and its flip's form (top area, bottom area, height, sorted
+    words) and its flip's form (top area, bottom area, height, sorted
     chain end keys); the flipped graph itself is never built.
     """
     bottom, top, height = g.bottom_area, g.top_area, g.height
-    own = (bottom, top, height, tuple(c.seq for c in g.chains))
+    own = (bottom, top, height, g.chains)
     if bottom < top:
         return own
     return min(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
@@ -185,7 +178,7 @@ def sort_key_of(
     height: int | Fraction, bottom_area: int | Fraction, top_area: int | Fraction, chains: tuple[Chain, ...]
 ) -> tuple:
     """``canonical_sort_key`` of the graph with these fields, chains sorted, without building it."""
-    return (height, bottom_area, top_area, len(chains), tuple(map(_SEQ, chains)))
+    return (height, bottom_area, top_area, len(chains), chains)
 
 
 def canonical_sort_key(g: DecoratedGraph) -> tuple:
@@ -200,13 +193,13 @@ def canonical_sort_key(g: DecoratedGraph) -> tuple:
 
 
 def to_json_dict(g: DecoratedGraph) -> dict:
-    """Canonical JSON object: rationals as strings, each chain its ``seq`` in stored order."""
+    """Canonical JSON object: rationals as strings, each chain its word in stored order."""
     return {
         "height": str(g.height),
         "genus": g.genus,
         "bottom_area": str(g.bottom_area),
         "top_area": str(g.top_area),
-        "chains": [[x if i % 2 else str(x) for i, x in enumerate(c.seq)] for c in g.chains],
+        "chains": [[x if i % 2 else str(x) for i, x in enumerate(c)] for c in g.chains],
     }
 
 
@@ -223,7 +216,7 @@ def canonical_json(g: DecoratedGraph) -> str:
     and ``/``.
     """
     # each chain word with its heights quoted and its labels bare
-    chains = ",".join([('["%s"' + ',%s,"%s"' * (len(c.seq) // 2) + "]") % c.seq for c in g.chains])
+    chains = ",".join([('["%s"' + ',%s,"%s"' * (len(c) // 2) + "]") % c for c in g.chains])
     return (
         f'{{"height":"{g.height}","genus":{g.genus},"bottom_area":"{g.bottom_area}",'
         f'"top_area":"{g.top_area}","chains":[{chains}]}}'

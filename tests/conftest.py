@@ -40,7 +40,7 @@ def map_values(g, fn):
         fn(g.top_area),
         fn(g.height),
         g.genus,
-        tuple(Chain(tuple(x if i % 2 else fn(x) for i, x in enumerate(c.seq))) for c in g.chains),
+        tuple(Chain(tuple(x if i % 2 else fn(x) for i, x in enumerate(c))) for c in g.chains),
     )
 
 
@@ -145,7 +145,7 @@ def permute_chains(g: DecoratedGraph, perm) -> DecoratedGraph:
 def mirror(g: DecoratedGraph) -> DecoratedGraph:
     """Independent reimplementation of the flip, for oracle use."""
     chain_list = tuple(
-        Chain(tuple(x if i % 2 else g.height - x for i, x in enumerate(reversed(c.seq))))
+        Chain(tuple(x if i % 2 else g.height - x for i, x in enumerate(reversed(c))))
         for c in g.chains
     )
     return DecoratedGraph(g.top_area, g.bottom_area, g.height, g.genus, chain_list)
@@ -162,7 +162,7 @@ def tweak(g: DecoratedGraph) -> DecoratedGraph:
     new_h = (lower + upper) / 2
     if new_h == chain.heights[vi]:
         new_h = (lower + 3 * upper) / 4
-    chain_list = (Chain(chain.seq[:-1] + (new_h,)),) + g.chains[1:]
+    chain_list = (Chain(chain[:-1] + (new_h,)),) + g.chains[1:]
     return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, chain_list)
 
 

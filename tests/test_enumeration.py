@@ -202,8 +202,19 @@ def test_library_graph_bound_is_inclusive(monkeypatch):
     assert len(enumerate_actions(BlowupVector(1, 3))[0]) == 3
     with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
         enumerate_actions(BlowupVector(1, F(7, 2)))
-    # a count hands out no graph, so it is never refused
+    # a count hands out no graph, so its answer is not bounded
     assert count_actions(BlowupVector(1, 10**30)).count == 10**30
+
+
+def test_the_graph_bound_also_caps_the_seeds_of_a_count(monkeypatch):
+    import hamcircle.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "MAX_GRAPHS", 3)
+    # three seeds, five actions: the count itself is past the budget
+    assert count_actions(BlowupVector(1, 3, (F(1, 2),))).count == 5
+    # four seeds (twists 0, 2, 4, 6): refused, although this count is 0
+    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
+        count_actions(BlowupVector(1, F(7, 2), (F(1, 2),) * 14))
 
 
 def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
