@@ -21,10 +21,12 @@ enumerator and a closed-form count.  ``count`` takes any lambda_b.
 All numeric output is exact; decimal approximations appear only in fields
 named "approx".
 
-Every ``--format json`` output is one object written by ``_json_text``: one
-key per line, each value compact from the C encoder, and the graphs of
+Every output is written piece by piece, never joined whole.  A
+``--format json`` output is one object written by ``_json_text``: one key
+per line, each value compact from the C encoder, and the graphs of
 ``enumerate`` one per line, each exactly its ``canonical_json`` and written
-as it is spelled.  The graphs come from ``enumerate_actions``, which builds
+as it is spelled.  ``to_dot`` yields the ``dot`` text the same way, one
+graph per piece.  The graphs come from ``enumerate_actions``, which builds
 each of them once.
 """
 
@@ -103,16 +105,19 @@ def format_vector(v: BlowupVector) -> str:
     return head + ";" + ",".join(str(d) for d in v.deltas)
 
 
-def to_dot(graphs: list[DecoratedGraph]) -> str:
-    """Render graphs in Graphviz dot: fat vertices as labeled boxes, interior
-    vertices as nodes labeled by height, edges annotated with their isotropy."""
-    lines = ["graph actions {"]
+def to_dot(graphs: Iterable[DecoratedGraph]) -> Iterator[str]:
+    """Render graphs in Graphviz dot, one piece per graph: fat vertices as
+    labeled boxes, interior vertices as nodes labeled by height, edges
+    annotated with their isotropy."""
+    yield "graph actions {\n"
     for gi, g in enumerate(graphs):
-        lines.append(f"  subgraph cluster_{gi} {{")
-        lines.append(f'    label="graph {gi}";')
         bot, top = f"g{gi}_bottom", f"g{gi}_top"
-        lines.append(f'    {bot} [shape=box, label="area {g.bottom_area}, genus {g.genus}"];')
-        lines.append(f'    {top} [shape=box, label="area {g.top_area}, genus {g.genus}"];')
+        lines = [
+            f"  subgraph cluster_{gi} {{",
+            f'    label="graph {gi}";',
+            f'    {bot} [shape=box, label="area {g.bottom_area}, genus {g.genus}"];',
+            f'    {top} [shape=box, label="area {g.top_area}, genus {g.genus}"];',
+        ]
         for pos, chain in enumerate(g.chains):
             names = [f"g{gi}_c{pos}_v{vi}" for vi in range(len(chain.heights))]
             for name, h in zip(names, chain.heights):
@@ -121,9 +126,9 @@ def to_dot(graphs: list[DecoratedGraph]) -> str:
             for vi, label in enumerate(chain.labels):
                 lines.append(f'    {names[vi]} -- {names[vi + 1]} [label="{label}"];')
             lines.append(f'    {names[-1]} -- {top} [label="1"];')
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append("  }\n")
+        yield "\n".join(lines)
+    yield "}\n"
 
 
 def _twist_range(twists: range) -> dict:
@@ -265,9 +270,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     graphs, report = enumerate_actions(args.vector)
     if args.format == "dot":
-        return _emit([to_dot(graphs)], args.out)
+        return _emit(to_dot(graphs), args.out)
     payload = _report_json(report)
-    payload["count"] = len(graphs)
     payload["graphs"] = graphs
     return _emit(_json_text(payload), args.out)
 

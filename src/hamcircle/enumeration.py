@@ -163,11 +163,7 @@ def blowup_stage(store: GraphStore, delta: int | Fraction) -> GraphStore:
     delta = as_exact(delta)
     if delta <= 0:
         raise ValueError("blowup size must be positive")
-    result = GraphStore()
-    for source in store:
-        for graph in all_blowups(source, delta):
-            result.add_if_new(graph)
-    return result
+    return GraphStore(child for source in store for child in all_blowups(source, delta))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ letter by letter, either from the start (the chain itself) or from the end
 (the chain reversed, heights replaced by their distance from the top); a
 chain that is a strict prefix of another sorts first.  A graph keeps its
 chains sorted, so graph equality is node-for-node equality.  Each
-equivalence class has one hashable key, the smaller of the graph's own form
+equivalence class has one hashable key, the larger of the graph's own form
 and the form of its flip, so equivalence is key equality.
 
 Distinct chains may contain vertices at equal heights; this really happens,
@@ -106,15 +106,16 @@ class DecoratedGraph:
 def class_key(g: DecoratedGraph) -> tuple:
     """The same tuple for two graphs exactly when they agree up to the flip.
 
-    The smaller of the graph's own form (bottom area, top area, height, chain
+    The larger of the graph's own form (bottom area, top area, height, chain
     words) and its flip's form (top area, bottom area, height, sorted
-    chain end keys); the flipped graph itself is never built.
+    chain end keys); the flipped graph itself is never built, and its end
+    keys only when the bottom area is not above the top.
     """
     bottom, top, height = g.bottom_area, g.top_area, g.height
     own = (bottom, top, height, g.chains)
-    if bottom < top:
+    if bottom > top:
         return own
-    return min(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
+    return max(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def gromov_width(v: BlowupVector) -> GromovWidth:
     hence the exact value returned is the square.
     """
     require_cone(v)
-    by_volume = 2 * v.lambda_f * v.lambda_b - sum((d * d for d in v.deltas), start=Fraction(0))
+    by_volume = 2 * volume(v)
     by_fiber = v.lambda_f * v.lambda_f
     capped = by_fiber <= by_volume
     squared = by_fiber if capped else by_volume

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from collections.abc import Iterator
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from hamcircle.cli import (
     format_vector,
     main,
     parse_vector,
+    to_dot,
 )
 from hamcircle.enumeration import MAX_GRAPHS
 
@@ -411,6 +413,60 @@ def test_enumerate_dot_output(capsys):
     assert 'shape=box, label="area 3/4, genus 1"' in out
     assert 'g0_c0_v0 [label="1/4"]' in out
     assert 'g0_bottom -- g0_c0_v0 [label="1"]' in out
+
+
+DOT_TWO_BLOWUPS = """graph actions {
+  subgraph cluster_0 {
+    label="graph 0";
+    g0_bottom [shape=box, label="area 11/16, genus 1"];
+    g0_top [shape=box, label="area 1, genus 1"];
+    g0_c0_v0 [label="1/16"];
+    g0_bottom -- g0_c0_v0 [label="1"];
+    g0_c0_v0 -- g0_top [label="1"];
+    g0_c1_v0 [label="1/4"];
+    g0_bottom -- g0_c1_v0 [label="1"];
+    g0_c1_v0 -- g0_top [label="1"];
+  }
+  subgraph cluster_1 {
+    label="graph 1";
+    g1_bottom [shape=box, label="area 3/4, genus 1"];
+    g1_top [shape=box, label="area 15/16, genus 1"];
+    g1_c0_v0 [label="1/4"];
+    g1_bottom -- g1_c0_v0 [label="1"];
+    g1_c0_v0 -- g1_top [label="1"];
+    g1_c1_v0 [label="15/16"];
+    g1_bottom -- g1_c1_v0 [label="1"];
+    g1_c1_v0 -- g1_top [label="1"];
+  }
+  subgraph cluster_2 {
+    label="graph 2";
+    g2_bottom [shape=box, label="area 3/4, genus 1"];
+    g2_top [shape=box, label="area 1, genus 1"];
+    g2_c0_v0 [label="3/16"];
+    g2_c0_v1 [label="5/16"];
+    g2_bottom -- g2_c0_v0 [label="1"];
+    g2_c0_v0 -- g2_c0_v1 [label="2"];
+    g2_c0_v1 -- g2_top [label="1"];
+  }
+}
+"""
+
+
+def test_to_dot_yields_one_piece_per_graph():
+    pieces = to_dot(enumerate_actions(parse_vector("1,1;1/4,1/16"))[0])
+    assert isinstance(pieces, Iterator) and not isinstance(pieces, str)
+    pieces = list(pieces)
+    # the opening line, one piece per graph, the closing line
+    assert len(pieces) == 1 + 3 + 1 and all(piece.endswith("\n") for piece in pieces)
+    assert "".join(pieces) == DOT_TWO_BLOWUPS
+
+
+def test_enumerate_dot_writes_the_lines_of_to_dot(capsys):
+    for text in ("1,1;1/4,1/16", "1,3;1/2,1/4,1/8", "12,2;3,3"):
+        code, out, _ = run(capsys, "enumerate", "-v", text, "--format", "dot")
+        assert code == EXIT_OK
+        assert out == "".join(to_dot(enumerate_actions(parse_vector(text))[0]))
+    assert out == "graph actions {\n}\n"  # the last vector has no action
 
 
 def test_enumerate_writes_files(tmp_path, capsys):

@@ -139,6 +139,25 @@ def test_stage_collapses_flip_equivalent_results():
     assert len(store) == 1  # input store untouched
 
 
+def test_stage_inserts_every_child_through_add_if_new(monkeypatch):
+    # the benchmark's insert span wraps ``GraphStore.add_if_new`` on the class,
+    # so a stage must hand it every generated child, duplicates included
+    store = GraphStore(initial_graphs(2, 3, T, 1))
+    store = blowup_stage(store, 1)
+    children = [child for source in store for child in all_blowups(source, 1)]
+    inserted = []
+    add_if_new = GraphStore.add_if_new
+
+    def counted(self, graph):
+        inserted.append(graph)
+        return add_if_new(self, graph)
+
+    monkeypatch.setattr(GraphStore, "add_if_new", counted)
+    result = blowup_stage(store, 1)
+    assert inserted == children
+    assert len(result) < len(children)  # some children merged
+
+
 def test_stage_can_empty_out():
     store = GraphStore(initial_graphs(12, 2, T, 1))
     assert len(blowup_stage(store, 3)) == 0

@@ -216,6 +216,11 @@ def test_max_count_examples():
     assert max_count(1, 3, 3) == 60
 
 
+def test_max_count_is_exact_far_past_the_float_range():
+    # (ceil(10**30) - 1/2) * 4! in ints: a float would round it
+    assert max_count(1, 10**30, 3) == 24 * 10**30 - 12
+
+
 def test_max_count_needs_a_blowup():
     with pytest.raises(ValueError):
         max_count(1, 1, 0)
@@ -289,7 +294,7 @@ def near_sharp_vectors(draw):
     least initial top fat area; the offset -total makes lambda_b a whole
     number of fibers."""
     lf = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
     deltas, room = [], lf
     for _ in range(k):
         room = room * draw(st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=16))

@@ -216,11 +216,20 @@ def test_flip_rejects_invalid_graphs():
 
 
 def test_key_examples():
-    assert class_key(graph(2, 4, 1, ("1/2",))) == (F(2), F(4), F(1), ((F(1, 2),),))
-    assert class_key(graph(4, 2, 1, ("1/4",))) == (F(2), F(4), F(1), ((F(3, 4),),))
+    assert class_key(graph(2, 4, 1, ("1/2",))) == (F(4), F(2), F(1), ((F(1, 2),),))
+    assert class_key(graph(4, 2, 1, ("1/4",))) == (F(4), F(2), F(1), ((F(1, 4),),))
     assert class_key(RULED) == (F(3), F(3), F(3), ())
-    # equal fat areas: the flip decides by the chains, here the lower one
-    assert class_key(graph(1, 1, 1, ("3/4",))) == (F(1), F(1), F(1), ((F(1, 4),),))
+    # equal fat areas: the flip decides by the chains, here the higher one
+    assert class_key(graph(1, 1, 1, ("3/4",))) == (F(1), F(1), F(1), ((F(3, 4),),))
+
+
+def _own(g):
+    return (g.bottom_area, g.top_area, g.height, g.chains)
+
+
+@given(valid_graphs())
+def test_key_is_the_larger_of_the_own_and_the_flipped_form(g):
+    assert class_key(g) == max(_own(g), _own(flip(g)))
 
 
 # --- validation ---------------------------------------------------------------
