@@ -1,84 +1,56 @@
-"""Staged enumeration of circle actions by equivariant blowups, with dedup.
+"""Circle actions on a blowup, counted and listed from one run over twist-free shapes.
 
-An action on the k-fold blowup is reached from an action on the underlying
-ruled surface by k blowups of the prescribed sizes, largest first.  The
-enumeration therefore seeds a store with the ruled-surface graphs (one per
-admissible twist), applies one blowup stage per delta, and deduplicates up to
-vertical translation and flip after every stage.  The store is a dict keyed by
-``class_key``, so an insertion is one lookup.
+An action on the k-fold blowup comes from an action on the underlying ruled
+surface by k equivariant blowups of the prescribed sizes, largest first.
+``GraphStore``, ``initial_graphs`` and ``blowup_stage`` are that staged
+search: seed the ruled-surface graph of every twist n >= 0, with fat areas
+L +- n*lambda_f/2 (L = lambda_b, n of the bundle's parity p), apply one
+blowup stage per delta, and keep the first graph inserted of each class up
+to the flip.  ``count_actions`` and ``enumerate_actions`` give its stage
+counts and its graphs without seeding a twist.  Input is brought to reduced
+form first: the count depends only on the symplectomorphism class, and the
+staged search is only correct for reduced vectors.
 
-Inputs with unsorted or defect-positive deltas are first brought to reduced
-form: the count only depends on the symplectomorphism class, and the staged
-search is only correct for reduced vectors.  ``count_actions`` takes any
-lambda_b.  ``MAX_GRAPHS`` bounds the graphs that a call hands out, before it
-builds one, and through ``initial_graphs`` the search's seeds, about
-2*(S/lambda_f + 2) twists (below), even in a count; nothing bounds the stages.
+Shapes.  A fat blowup needs delta below the fat area and the height
+lambda_f, an interior one never looks at the fat areas, and areas only
+shrink.  So a stage-j graph of twist n is (L + n*lambda_f/2 - a,
+L - n*lambda_f/2 - b, chains) for a twist-free shape (a, b, chains), a
+stage-j graph of (A, A, lambda_f) with A = S + lambda_f, S the sum of the
+deltas, where every fat site is open; it is valid exactly when both areas
+are positive.  A shape is dropped, for good, once no twist n satisfies
+a - L < n*lambda_f/2 < L - b.
 
-Every height and area the stages produce is an integer combination of
-lambda_f/2, lambda_b and the deltas.  A run therefore multiplies the reduced
-vector by ``scale = 2 * lcm`` of its denominators, which makes all of them
-integers, runs the seeding and every stage on plain ints, and divides by the
-scale only when ``enumerate_actions`` hands out the sorted graphs.  A positive
-scale preserves every comparison, so the sites tried, the representative each
-class keeps and the output order are those of the same run in Fractions.
+Count.  The graphs X of the shapes over every twist of parity p, of either
+sign, are flip-closed (twist n and shape (a, b, chains) flip to twist -n and
+the flipped shape), and the staged search keeps one graph per flip class.
+So by Burnside's lemma a stage count is (|X| + |Fix|) / 2:
 
-``count_actions`` does not build every twist: past the onset
-lambda_b - lambda_f > S, where S is the sum of the deltas of the reduced
-vector, each stage count is affine in lambda_b.  Write L for lambda_b and
-N(L) for the number of stage-j graphs at L with top area at most lambda_f.
+- shapes with equal (chains, a + b, a mod lambda_f) give the same graphs, a
+  shift of a by lambda_f being one of n by 2, and add the twists of one of
+  them; other shapes give other graphs;
+- a group (chains, a + b) whose chains are their flip adds 1 to |Fix| when a
+  shape of it has a - b = n*lambda_f for a twist n, that is
+  a - b = p*lambda_f mod 2*lambda_f; as a + b < 2L, its areas are positive.
 
-- A fat blowup needs delta below the fat area and below the height
-  lambda_f; an interior blowup never looks at the fat areas.  Areas only
-  shrink, so a sequence of moves is valid from the twist-n seed exactly when
-  its interior sites are valid and both final fat areas are positive.  The
-  twist n enters only there: a stage-j graph is (L + n*lambda_f/2 - a,
-  L - n*lambda_f/2 - b, chains) for one twist-free set of shapes
-  (a, b, chains) with a + b <= S.  The seed of twist -n is the flip of the
-  seed of twist n and blowups commute with the flip, so the stage-j count is
-  the number of flip classes of these graphs over every twist n of the
-  bundle's parity.
-- Adding lambda_f to both fat areas maps the stage-j graphs at L injectively
-  into those at L + lambda_f, and commutes with the flip.  Its image is the
-  graphs whose fat areas both exceed lambda_f, so raising L by lambda_f adds
-  exactly the classes with a fat area in (0, lambda_f].  Past the onset the
-  two areas sum to 2L + 2*lambda_f - a - b > 2*lambda_f, so exactly one
-  member of each new class has top area at most lambda_f: the count grows by
-  N(L + lambda_f).
-- Equal graphs share their top area, so the store counts a new class by its
-  top area exactly when it keeps that member.  It keeps it when
-  L - lambda_f > S: the other member has bottom area
-  L + n*lambda_f/2 - a <= lambda_f with n >= 0, which needs L - lambda_f <= S.
-- The shift n -> n+2 adds 2*lambda_f to the bottom area and keeps the top,
-  so it maps the graphs counted by N(L) injectively into those counted by
-  N(L + lambda_f).  It is onto when 2L > S + lambda_f, so past the onset:
-  the preimage of such a graph at L + lambda_f has bottom area
-  2L - a - b - top >= 2L - S - lambda_f > 0.
+List.  With the twists seeded in increasing order and the sites tried in
+``all_blowups`` order, the staged search keeps each class at its
+lexicographically least node (n, path), since blowups commute with the
+flip; the shapes, deduplicated in that order, come in the order of their
+least paths.  So each class is listed at its least (n, shape position):
 
-So when L - (t+1)*lambda_f > S, every stage count at L is the one of the run
-with lambda_b lowered to L - t*lambda_f, plus t times the number of its
-stored graphs with top area at most lambda_f.  Both ``count_actions`` and
-``enumerate_actions`` run the stages with the largest such t >= 0, so a run
-builds about 2*(S/lambda_f + 2) twists whatever lambda_b is.
+- a graph of twist n is the flip of one of a twist n' >= 0 only if
+  (n + n')*lambda_f/2 = a - b' <= S, so up to n*lambda_f/2 <= S the graphs
+  are listed in (n, position) order, one per class;
+- past that window the same graph comes at a smaller twist only from a
+  shape of its class with a smaller a, so each class's least-a shape lists
+  every twist past it.
 
-``enumerate_actions`` lifts the lowered store back to L.  A stored graph with
-fat areas (bottom, top) gives the graph with fat areas
-(bottom + (t+s)*lambda_f, top + (t-s)*lambda_f) and the same chains for
-s = 0, and for every s = 1..t as well when top <= lambda_f: the shift of
-both areas for s = 0, the shift n -> n+2s followed by t-s shifts of both for
-the rest.  These are the graphs that the run at L keeps, one per class,
-because the store keeps the same member of each class at every step
-L -> L + lambda_f past the onset:
-
-- Every graph that any stage generates has bottom area
-  L + n*lambda_f/2 - a >= L - S > lambda_f, as n >= 0.  So of a class with a
-  fat area at most lambda_f only the member with top area at most lambda_f
-  is ever generated, and the store keeps that member.
-- Blowups only shrink areas, so a source with a fat area at most lambda_f
-  has only such children, and a move that is invalid at L and valid at
-  L + lambda_f lands there too.
-- So the classes whose fat areas both exceed lambda_f come only from the
-  shifted sources, in the same insertion order, and the store at
-  L + lambda_f keeps the shift of the member that it kept at L.
+Every height and area is an integer combination of lambda_f/2, lambda_b and
+the deltas, so the run multiplies the reduced vector by ``scale = 2 * lcm``
+of its denominators, works on plain ints, and divides by the scale only for
+output; a positive scale preserves every comparison.  A count takes any
+lambda_b; ``MAX_GRAPHS`` bounds the graphs that ``enumerate_actions`` hands
+out, checked against the count before any is listed.
 """
 
 from __future__ import annotations
@@ -87,14 +59,15 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups
 from .graphs import Chain, DecoratedGraph, class_key, sort_key_of
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
 # Most graphs that one call hands out: an ``enumerate`` of 10**6 graphs takes about
-# 0.31 GB of memory and 20 s (measured with Python 3.11 on one Xeon core).
+# 0.31 GB of memory and 20 s (measured with Python 3.11 on one Xeon core).  A count
+# hands out none, so nothing bounds it.
 MAX_GRAPHS = 10**6
 
 
@@ -172,8 +145,8 @@ class CountReport:
 
     ``stage_counts`` has one entry per stage starting with the initial graph
     count, so its length is k + 1 and the final entry is the action count.
-    ``initial_twists`` is the range of twists of the reduced ruled surface; a
-    run past the onset seeds only those of its lowered lambda_b.
+    ``initial_twists`` is the range of twists of the reduced ruled surface;
+    the run seeds none of them.
     """
 
     input_vector: BlowupVector
@@ -190,33 +163,78 @@ class CountReport:
         return self.stage_counts[-1]
 
 
-def _staged_run(v: BlowupVector) -> tuple[GraphStore, CountReport, int, int, int]:
-    """Seed the store with the ruled-surface graphs, then run one blowup stage per delta.
+def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[DecoratedGraph]]]:
+    """Run the stages on twist-free shapes and count each stage by Burnside over the flip.
 
-    The stores hold the run with lambda_b lowered by the most whole fibers t
-    that keep it past the onset, and the stage counts are carried back to the
-    true lambda_b as the module docstring shows.  The graphs are on the
-    integer lattice: every height and area is the true one times the scale.
-    Returns the last store, the report, t, the lattice lambda_f and the scale.
+    Returns the report and a function that lists the graphs of the staged
+    search, in Fractions and in canonical order (module docstring).
     """
     reduced = cremona_reduce(v).vector
-    twists = initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle)
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
     scale = 2 * math.lcm(*(q.denominator for q in values))
     lf, lb, *deltas = (q.numerator * (scale // q.denominator) for q in values)
-    # the largest t >= 0 with lb - (t+1)*lf > sum(deltas)
-    t = max(0, (lb - sum(deltas) - 1) // lf - 1)
-    store = GraphStore(initial_graphs(lf, lb - t * lf, reduced.bundle, reduced.genus))
+    half, total, parity = lf // 2, sum(deltas), int(reduced.bundle is BundleType.NONTRIVIAL)
 
-    def count(stage: GraphStore) -> int:
-        # each of the t fibers adds one class per stored graph with top area <= lf
-        return len(stage) + (t and t * sum(g.top_area <= lf for g in stage))
+    def twists(low: int, high: int) -> range:
+        """The twists n of the bundle's parity with low < n*lf/2 < high."""
+        start = low // half + 1
+        return range(start + (start - parity) % 2, -(-high // half), 2)
 
-    counts = [count(store)]
+    def flipped(chains: tuple[Chain, ...]) -> tuple[tuple, ...]:
+        return tuple(sorted(c.end_key(lf) for c in chains))
+
+    def classes(shapes: Iterable[tuple]) -> tuple[int, Iterable[tuple]]:
+        """The stage count by Burnside, and the least-a shape of each class."""
+        least, fixed = {}, set()
+        for shape in shapes:
+            a, b, chains = shape
+            key = (chains, a + b, a % lf)
+            least[key] = min(least.get(key, shape), shape)
+            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped(chains):
+                fixed.add(key[:2])
+        # each range holds twists of one parity; len overflows past sys.maxsize
+        size = sum(max(0, (r.stop - r.start + 1) // 2) for r in (twists(a - lb, lb - b) for a, b, _ in least.values()))
+        return (size + len(fixed)) // 2, least.values()
+
+    fat = total + lf
+    shapes = {(0, 0, ()): DecoratedGraph(fat, fat, lf, reduced.genus)}
+    counts = [classes(shapes)[0]]
     for delta in deltas:
-        store = blowup_stage(store, delta)
-        counts.append(count(store))
-    return store, CountReport(v, reduced, twists, tuple(counts)), t, lf, scale
+        children = {}
+        for source in shapes.values():
+            for child in all_blowups(source, delta):
+                a, b = fat - child.bottom_area, fat - child.top_area
+                if twists(a - lb, lb - b):
+                    children.setdefault((a, b, child.chains), child)
+        shapes = children
+        counts.append(classes(shapes)[0])
+    report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
+
+    def listing() -> list[DecoratedGraph]:
+        # each class at its least (n, shape position): inside the window by
+        # dedup up to the flip, past it from the least-a shape of its class
+        rows, seen = [], set()
+        for n in twists(-1, min(total + 1, lb)):
+            for a, b, chains in shapes:
+                if a - lb < n * half < lb - b:
+                    row = (lb + n * half - a, lb - n * half - b, chains)
+                    if row not in seen:
+                        seen.update((row, (row[1], row[0], flipped(chains))))
+                        rows.append(row)
+        for a, b, chains in classes(shapes)[1]:
+            rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(max(a - lb, total), lb - b))
+        rows.sort(key=lambda row: sort_key_of(lf, *row))
+        # Back from the lattice: each value and chain is converted once and
+        # shared by every graph that holds it.
+        fraction = functools.cache(lambda x: Fraction(x, scale))
+        chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
+        height, genus = fraction(lf), reduced.genus
+        # each row is freed as soon as its graph replaces it
+        for i, (bottom, top, chains) in enumerate(rows):
+            rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
+        return rows
+
+    return report, listing
 
 
 def count_actions(v: BlowupVector) -> CountReport:
@@ -224,42 +242,22 @@ def count_actions(v: BlowupVector) -> CountReport:
 
     Rejects vectors outside the cone.  Non-reduced input is reduced first and
     flagged; the count is an invariant of the symplectomorphism class, so this
-    does not change the answer.  Past the onset the stages run on a lowered
-    lambda_b and the counts are extrapolated exactly, so the cost depends on k
-    and sum(deltas)/lambda_f, not on lambda_b/lambda_f, and any lambda_b is
-    taken.  It raises ``TooManyGraphsError`` when the lowered run needs more
-    than ``MAX_GRAPHS`` seeds, whatever the count.
+    does not change the answer.  No twist is seeded, so the cost depends on k
+    and the shapes, not on lambda_b/lambda_f, and any lambda_b is taken.
     """
-    return _staged_run(v)[1]
+    return _shape_run(v)[0]
 
 
 def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountReport]:
     """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order.
 
-    The same run as ``count_actions``; only the lift of its store back to the
-    true lambda_b, and the output, grow with lambda_b/lambda_f.  The lift and
-    the sort work on the lattice fields (bottom area, top area, chains) of
-    each graph, since all of them share the height lambda_f and the genus, so
-    each output graph is built exactly once, already in Fractions.  Past
-    ``MAX_GRAPHS`` graphs it raises ``TooManyGraphsError``, before the lift.
+    The same run as ``count_actions``; only the listing grows with
+    lambda_b/lambda_f.  It sorts the lattice fields (bottom area, top area,
+    chains), as every graph shares the height and the genus, so each output
+    graph is built exactly once, already in Fractions.  Past ``MAX_GRAPHS``
+    graphs it raises ``TooManyGraphsError`` before it lists any.
     """
-    store, report, t, lf, scale = _staged_run(v)
+    report, listing = _shape_run(v)
     if report.count > MAX_GRAPHS:
         raise TooManyGraphsError(f"{report.count} graphs exceed the limit of {MAX_GRAPHS}")
-    # the lift of the module docstring, on the lattice; s = 0 alone when t = 0
-    rows = [
-        (g.bottom_area + (t + s) * lf, g.top_area + (t - s) * lf, g.chains)
-        for g in store
-        for s in range(t + 1 if g.top_area <= lf else 1)
-    ]
-    del store
-    rows.sort(key=lambda row: sort_key_of(lf, *row))
-    # Back from the lattice: each value and chain is converted once and shared
-    # by every graph that holds it.
-    fraction = functools.cache(lambda x: Fraction(x, scale))
-    chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
-    height, genus = fraction(lf), report.reduced_vector.genus
-    # each row is freed as soon as its graph replaces it
-    for i, (bottom, top, chains) in enumerate(rows):
-        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
-    return rows, report
+    return listing(), report

@@ -291,7 +291,7 @@ def test_count_crosscheck_max_count_mismatch_signals_a_bug(capsys, monkeypatch):
 
 
 def test_count_far_past_the_onset_is_quick(capsys):
-    # 10**5 twists: the count extrapolates from the twists near the onset
+    # 10**5 twists: the count takes them in closed form over the shapes
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "-v", "1,100000;1/2,1/4,1/8")
     assert time.perf_counter() - start < 2
@@ -631,7 +631,7 @@ LAYOUT_VECTORS = [
     ("1,2;1/4,1/16", "trivial"),  # reduced, crosschecked by max_count
     ("3,3;2,2", "trivial"),  # auto-reduced
     ("2,10;1.9,1.9,1.9,1.9", "nontrivial"),  # auto-reduced, no closed form
-    ("1,40;1/2,1/3,1/5", "nontrivial"),  # past the onset: the store is lifted
+    ("1,40;1/2,1/3,1/5", "nontrivial"),  # far past the window: least-a shapes list the twists
     ("2,3;1/2", "nontrivial"),  # equal sizes
     ("3,7", "trivial"),  # k = 0
     ("12,2;3,3", "trivial"),  # no action

@@ -1,6 +1,7 @@
-"""The staged enumeration: seeding, stages, dedup, and count invariances."""
+"""The enumeration: the staged search, the shape run that reproduces it, and count invariances."""
 
 import hashlib
+import random
 import time
 from fractions import Fraction as F
 
@@ -225,15 +226,17 @@ def test_library_graph_bound_is_inclusive(monkeypatch):
     assert count_actions(BlowupVector(1, 10**30)).count == 10**30
 
 
-def test_the_graph_bound_also_caps_the_seeds_of_a_count(monkeypatch):
+def test_a_count_is_not_bounded_by_the_graph_budget(monkeypatch):
     import hamcircle.enumeration as enumeration
 
     monkeypatch.setattr(enumeration, "MAX_GRAPHS", 3)
-    # three seeds, five actions: the count itself is past the budget
+    # five actions: the count itself is past the budget
     assert count_actions(BlowupVector(1, 3, (F(1, 2),))).count == 5
-    # four seeds (twists 0, 2, 4, 6): refused, although this count is 0
-    with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
-        count_actions(BlowupVector(1, F(7, 2), (F(1, 2),) * 14))
+    # four twists (0, 2, 4, 6) and no action: a count seeds no twist
+    assert count_actions(BlowupVector(1, F(7, 2), (F(1, 2),) * 14)).count == 0
+    # a listing past the budget is still refused
+    with pytest.raises(TooManyGraphsError, match="^5 graphs exceed the limit of 3$"):
+        enumerate_actions(BlowupVector(1, 3, (F(1, 2),)))
 
 
 def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
@@ -242,7 +245,7 @@ def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("called past the budget")
 
-    # only the lift sorts by sort_key_of
+    # only the listing sorts by sort_key_of
     monkeypatch.setattr(enumeration, "sort_key_of", refuse)
     with pytest.raises(AssertionError, match="called past the budget"):
         enumerate_actions(BlowupVector(1, 3))
@@ -277,33 +280,65 @@ def test_count_takes_any_lambda_b(v, closed_form):
         assert report.count == closed_form()
 
 
+def _staged_reference(w):
+    """Stage sizes and canonically sorted graphs of the staged search, seeded
+    with every twist of the reduced vector ``w``, in Fractions."""
+    store = GraphStore(initial_graphs(w.lambda_f, w.lambda_b, w.bundle, w.genus))
+    sizes = [len(store)]
+    for delta in w.deltas:
+        store = blowup_stage(store, delta)
+        sizes.append(len(store))
+    return tuple(sizes), sorted(store, key=canonical_sort_key)
+
+
+def _assert_matches_the_staged_search(v):
+    w = cremona_reduce(v).vector
+    sizes, reference = _staged_reference(w)
+    graphs, report = enumerate_actions(v)
+    assert graphs == reference
+    assert count_actions(v) == report
+    assert report.stage_counts == sizes
+    assert report.reduced_vector == w
+    assert tuple(report.initial_twists) == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
+
+
 @st.composite
-def onset_vectors(draw):
-    """Cone vectors whose reduced lambda_b sits at a drawn offset from the
-    extrapolation onset lambda_b - lambda_f == S = sum(deltas), a few whole
-    fibers up or down; sometimes every delta is lambda_f/2, and sometimes the
-    vector is handed over in a non-reduced encoding.
+def window_vectors(draw):
+    """Cone vectors whose reduced lambda_b sits near the window edge, a twist
+    n with n*lambda_f/2 == S = sum(deltas), a few half fibers up or down, or
+    in the one-twist regime lambda_b <= lambda_f/2.  The deltas are sometimes
+    all lambda_f/2 and sometimes come in equal pairs, which give graphs fixed
+    by the flip, and sometimes the vector is handed over in a non-reduced
+    encoding.
     """
     bundle = draw(st.sampled_from([T, NT]))
-    k = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 5))
     lf = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8))
-    if draw(st.booleans()):
+    fractions = st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32)
+    kind = draw(st.sampled_from(["halves", "pairs", "free"]))
+    if kind == "halves":
         deltas = (lf / 2,) * k
+    elif kind == "pairs":
+        # sorted with 2*d1 <= lambda_f: reduced
+        halves = [lf / 2 * draw(fractions) for _ in range((k + 1) // 2)]
+        deltas = tuple(sorted(halves * 2, reverse=True)[:k])
     else:
         # sorted with d1 + d2 <= lambda_f: reduced
-        fractions = st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32)
         first = lf * draw(fractions)
         rest = sorted((min(first, lf - first) * draw(fractions) for _ in range(k - 1)), reverse=True)
         deltas = (first, *rest)[:k]
     total = sum(deltas, start=F(0))
-    eps = lf * draw(st.fractions(min_value=F(1, 64), max_value=F(1, 4), max_denominator=64))
-    offset = draw(
-        st.one_of(
-            st.sampled_from([-eps, F(0), eps, lf]),
-            st.fractions(min_value=-lf, max_value=lf, max_denominator=16),
+    if draw(st.integers(0, 4)):
+        eps = lf * draw(st.fractions(min_value=F(1, 64), max_value=F(1, 4), max_denominator=64))
+        offset = draw(
+            st.one_of(
+                st.sampled_from([-eps, F(0), eps]),
+                st.fractions(min_value=-lf / 2, max_value=lf / 2, max_denominator=16),
+            )
         )
-    )
-    lb = total + lf + offset + draw(st.integers(-1, 3)) * lf
+        lb = total + draw(st.integers(-1, 4)) * lf / 2 + offset
+    else:
+        lb = lf / 2 * draw(st.fractions(min_value=F(1, 32), max_value=1, max_denominator=32))
     w = BlowupVector(lf, lb, deltas, bundle)
     assume(lb > 0 and check_cone(w))
     if k >= 2 and draw(st.booleans()):
@@ -312,27 +347,52 @@ def onset_vectors(draw):
     return w
 
 
-@given(onset_vectors())
+@given(window_vectors())
 @example(BlowupVector(2, 7, (1, 1, 1), T))  # lambda_b - lambda_f - S == 2 == lambda_f
 @example(BlowupVector(2, 7, (1, 1, 1), NT))
-@example(BlowupVector(1, F(37, 8), (F(1, 2),) * 3, T))  # one eps past the onset
-@example(BlowupVector(1, F(35, 8), (F(1, 2),) * 3, NT))  # one eps below it
+@example(BlowupVector(1, F(37, 8), (F(1, 2),) * 3, T))
+@example(BlowupVector(1, F(35, 8), (F(1, 2),) * 3, NT))
 @example(BlowupVector(1, F(21, 4), (F(1, 2), F(3, 4)), T))  # non-reduced encoding of 1,5;1/2,1/4
+@example(BlowupVector(1, F(7, 4), (F(1, 2), F(1, 4), F(1, 8), F(1, 8)), T))  # twist 2 on the window edge
+@example(BlowupVector(1, F(7, 4), (F(1, 2), F(1, 4), F(1, 8), F(1, 8)), NT))  # twist 3 just past it
+@example(BlowupVector(2, 1, (F(1, 2), F(1, 2), F(1, 4), F(1, 4)), T))  # one twist, graphs fixed by the flip
+@example(BlowupVector(2, 1, (F(1, 2), F(1, 2), F(1, 4)), NT))  # lambda_b == lambda_f/2: no odd twist
 @settings(max_examples=300, deadline=None)
-def test_extrapolated_count_matches_the_full_run(v):
-    # the reference builds every twist of the reduced vector, in Fractions
-    w = cremona_reduce(v).vector
-    store = GraphStore(initial_graphs(w.lambda_f, w.lambda_b, w.bundle, w.genus))
-    sizes = [len(store)]
-    for delta in w.deltas:
-        store = blowup_stage(store, delta)
-        sizes.append(len(store))
-    graphs, report = enumerate_actions(v)
-    assert graphs == sorted(store, key=canonical_sort_key)
-    assert count_actions(v) == report
-    assert report.stage_counts == tuple(sizes)
-    assert report.reduced_vector == w
-    assert tuple(report.initial_twists) == tuple(initial_twists(w.lambda_f, w.lambda_b, w.bundle))
+def test_shape_run_matches_the_staged_search(v):
+    _assert_matches_the_staged_search(v)
+
+
+def _seeded_window_vectors(count):
+    """Seeded cone vectors on both bundles, k <= 4, with lambda_b near the
+    window edge or in the one-twist regime, many with 2*delta == lambda_f or
+    equal pairs of deltas."""
+    rng = random.Random(16)
+    while count:
+        bundle = rng.choice([T, NT])
+        k = rng.randint(0, 4)
+        lf = F(rng.randint(1, 8), rng.randint(1, 4))
+        kind = rng.randrange(3)
+        if kind == 0:
+            deltas = (lf / 2,) * k
+        elif kind == 1:
+            halves = [lf / 2 * F(rng.randint(1, 31), 32) for _ in range((k + 1) // 2)]
+            deltas = tuple(sorted(halves * 2, reverse=True)[:k])
+        else:
+            deltas = tuple(sorted((lf * F(rng.randint(1, 15), 32) for _ in range(k)), reverse=True))
+        total = sum(deltas, start=F(0))
+        if rng.randrange(5):
+            lb = total + rng.randint(-1, 4) * lf / 2 + lf * F(rng.randint(-8, 8), 16)
+        else:
+            lb = lf / 2 * F(rng.randint(1, 32), 32)
+        v = BlowupVector(lf, lb, deltas, bundle, rng.randint(1, 3))
+        if lb > 0 and check_cone(v):
+            count -= 1
+            yield v
+
+
+def test_shape_run_matches_the_staged_search_on_seeded_vectors():
+    for v in _seeded_window_vectors(400):
+        _assert_matches_the_staged_search(v)
 
 
 def test_count_k0_matches_the_initial_graphs():
@@ -484,16 +544,21 @@ def test_counts_do_not_depend_on_the_genus():
         assert count_actions(BlowupVector(2, 3, (F(1, 2),), NT, genus)).count == 2
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
-@pytest.mark.parametrize("lambda_b, fibers", [(2, 0), (10, 8)])
-@pytest.mark.parametrize("bundle", [T, NT])
-def test_enumerated_graphs_keep_the_genus(genus, lambda_b, fibers, bundle):
-    # fibers is the t of the run: t = 0 hands out the store, t >= 1 the lift
-    import hamcircle.enumeration as enumeration
+def _twists_past_the_window(report):
+    w = report.reduced_vector
+    total = sum(w.deltas, start=F(0))
+    return sum(n * w.lambda_f / 2 > total for n in report.initial_twists)
 
-    v = BlowupVector(1, lambda_b, (F(1, 2), F(1, 4)), bundle, genus)
-    assert enumeration._staged_run(v)[2] == fibers
-    graphs, _ = enumerate_actions(v)
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("lambda_b, past", [(2, 0), (10, 8)])
+@pytest.mark.parametrize("bundle", [T, NT])
+def test_enumerated_graphs_keep_the_genus(genus, lambda_b, past, bundle):
+    # past is the number of twists past the window: with none every graph is
+    # listed from the window, with some also from the least-a shapes
+    v = BlowupVector(1, lambda_b, (F(1, 2), F(1, 2), F(1, 2)), bundle, genus)
+    graphs, report = enumerate_actions(v)
+    assert _twists_past_the_window(report) == past
     assert graphs and {g.genus for g in graphs} == {genus}
 
 
@@ -582,8 +647,8 @@ GOLDEN = [
     ("1,5;1/2,1/2,1/2", NT, 8, "d199d441ca63aeac770e471c5004d172c58fc476ea3e60778025bb9632f91018"),
     ("1,2;1/3,1/3,1/6,1/6,1/12,1/12", NT, 402, "2d15bf664d741921d1dc37739ae8ad4917d10156660644cbd6234eaa5f1dd068"),
     ("2,10;1.9,1.9,1.9,1.9", T, 17, "87944f00cc6575c4bbf343809ff2c7637f3646735e0f6432556e31c20b9927ab"),
-    # past the onset, taken while enumerate_actions still ran every twist:
-    # 37 whole fibers lifted, then 8 of a non-unit lambda_f
+    # far past the window n*lambda_f/2 <= S, taken while enumerate_actions
+    # still ran every twist: with lambda_f 1, then with lambda_f 3/2
     ("1,40;1/2,1/3,1/5", T, 789, "68f36f8b2a90bdd8b87e87e9fca593d14349548149decdd53b5bad302f6d739a"),
     ("1,40;1/2,1/3,1/5", NT, 789, "c54c496b7fb458f4833d744fe76ec468fcf4e05289e6088570f26ed63333f82f"),
     ("3/2,61/4;2/3,1/2,1/5", T, 216, "8f6caf7b79d54b874e3e422ee2914af13987cc5146f4bdafd9367f50b756ead1"),
@@ -599,14 +664,12 @@ def test_enumeration_output_matches_the_golden_digests(text, bundle, count, dige
 
 
 @pytest.mark.parametrize(
-    "text, fibers",
-    [("1,2;1/4,1/16,1/64,1/256", 0), ("1,40;1/2,1/3,1/5", 37)],
+    "text, past",
+    [("1,1;1/4,1/16,1/64,1/256", 0), ("1,40;1/2,1/3,1/5", 38)],
 )
-def test_enumerate_builds_each_output_graph_once(monkeypatch, text, fibers):
-    # beyond the staged run, the lift, sort and conversion construct one
-    # DecoratedGraph per graph handed out, whether the store is lifted or not
-    import hamcircle.enumeration as enumeration
-
+def test_enumerate_builds_each_output_graph_once(monkeypatch, text, past):
+    # beyond the shape run, the listing, sort and conversion construct one
+    # DecoratedGraph per graph handed out, inside the window and past it
     v = parse_vector(text)
     built = 0
     post_init = DecoratedGraph.__post_init__
@@ -617,7 +680,7 @@ def test_enumerate_builds_each_output_graph_once(monkeypatch, text, fibers):
         post_init(self)
 
     monkeypatch.setattr(DecoratedGraph, "__post_init__", counting)
-    assert enumeration._staged_run(v)[2] == fibers
-    staged, built = built, 0
+    assert _twists_past_the_window(count_actions(v)) == past
+    shapes, built = built, 0
     graphs, _ = enumerate_actions(v)
-    assert staged > 0 and built == staged + len(graphs)
+    assert shapes > 0 and built == shapes + len(graphs)

@@ -28,13 +28,13 @@ from hamcircle import (
     are_equivalent,
     canonical_json,
     class_key,
+    count_actions,
     enumerate_actions,
     flip,
     graph_from_json_dict,
     to_json_dict,
     validate,
 )
-from hamcircle.enumeration import _staged_run
 
 
 def graph(bottom, top, height, *chains, genus=1):
@@ -381,7 +381,7 @@ def test_canonical_json_is_the_compact_dumps(g):
 
 
 def _seeded_runs():
-    """Seeded cone vectors on both bundles, k <= 3, many of them past the onset (t >= 1)."""
+    """Seeded cone vectors on both bundles, k <= 3, many of them with twists past the window."""
     rng = random.Random(2024)
     for i in range(96):
         bundle = (BundleType.TRIVIAL, BundleType.NONTRIVIAL)[i % 2]
@@ -390,26 +390,37 @@ def _seeded_runs():
 
 def test_canonical_json_is_the_compact_dumps_on_enumerated_graphs():
     graphs = {BundleType.TRIVIAL: 0, BundleType.NONTRIVIAL: 0}
-    past_onset = 0
+    past_window = 0
     for v in _seeded_runs():
-        output, _ = enumerate_actions(v)
+        output, report = enumerate_actions(v)
         for g in output:
             assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
         graphs[v.bundle] += len(output)
-        past_onset += _staged_run(v)[2] >= 1
-    assert min(graphs.values()) > 1000 and past_onset >= 40
+        # a twist n with n*lambda_f/2 past the sum of the deltas
+        w = report.reduced_vector
+        past_window += any(n * w.lambda_f / 2 > sum(w.deltas) for n in report.initial_twists)
+    assert min(graphs.values()) > 1000 and past_window >= 40
 
 
-def test_canonical_json_is_the_compact_dumps_on_lattice_graphs():
-    # the stages build their graphs on the integer lattice, every field an int
-    graphs = 0
+def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
+    # the shape run builds its graphs on the integer lattice, every field an int
+    import hamcircle.enumeration as enumeration
+
+    built = []
+
+    def recorded(g, delta):
+        children = all_blowups(g, delta)
+        built.extend(children)
+        return children
+
+    monkeypatch.setattr(enumeration, "all_blowups", recorded)
     for v in _seeded_runs():
-        for g in _staged_run(v)[0]:
-            values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c)]
-            assert {type(x) for x in values} == {int}
-            assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
-            graphs += 1
-    assert graphs > 500
+        count_actions(v)
+    for g in built:
+        values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c)]
+        assert {type(x) for x in values} == {int}
+        assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
+    assert len(built) > 500
 
 
 @given(graph_pairs())
