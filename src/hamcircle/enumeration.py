@@ -48,9 +48,7 @@ least paths.  So each class is listed at its least (n, shape position):
 Every height and area is an integer combination of lambda_f/2, lambda_b and
 the deltas, so the run multiplies the reduced vector by ``scale = 2 * lcm``
 of its denominators, works on plain ints, and divides by the scale only for
-output; a positive scale preserves every comparison.  A count takes any
-lambda_b; ``MAX_GRAPHS`` bounds the graphs that ``enumerate_actions`` hands
-out, checked against the count before any is listed.
+output; a positive scale preserves every comparison.
 """
 
 from __future__ import annotations
@@ -198,7 +196,8 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
 
     fat = total + lf
     shapes = {(0, 0, ()): DecoratedGraph(fat, fat, lf, reduced.genus)}
-    counts = [classes(shapes)[0]]
+    count, least = classes(shapes)
+    counts = [count]
     for delta in deltas:
         children = {}
         for source in shapes.values():
@@ -207,7 +206,9 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
                 if twists(a - lb, lb - b):
                     children.setdefault((a, b, child.chains), child)
         shapes = children
-        counts.append(classes(shapes)[0])
+        count, least = classes(shapes)
+        counts.append(count)
+    shapes = list(shapes)  # the listing needs their order, not their graphs
     report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
 
     def listing() -> list[DecoratedGraph]:
@@ -221,8 +222,8 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
                     if row not in seen:
                         seen.update((row, (row[1], row[0], flipped(chains))))
                         rows.append(row)
-        for a, b, chains in classes(shapes)[1]:
-            rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(max(a - lb, total), lb - b))
+        for a, b, chains in least:
+            rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(total, lb - b))
         rows.sort(key=lambda row: sort_key_of(lf, *row))
         # Back from the lattice: each value and chain is converted once and
         # shared by every graph that holds it.
