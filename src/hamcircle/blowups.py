@@ -17,6 +17,10 @@ areas must stay positive.  Equality would create a zero-area sphere or
 coincident fixed points on one chain.  An invalid site yields None rather
 than an exception, so enumeration can prune branches cheaply.
 
+The moves are written once, in ``blowup_rows``, on plain fields (areas,
+height, chain words); the shape run calls it and builds no graph, and the
+graph functions below build each child through the constructors.
+
 Every move only adds, subtracts and multiplies by integer labels, so a graph
 and a delta given as ints give ints.
 """
@@ -42,6 +46,41 @@ def _check_delta(delta: int | Fraction) -> int | Fraction:
     return delta
 
 
+def blowup_rows(bottom, top, height, chains: tuple[tuple, ...], delta) -> list[tuple | None]:
+    """Every site's child row (bottom area, top area, chains), None where the move is not valid.
+
+    ``chains`` are sorted words, the sites come in ``all_blowups`` order and
+    each child's chains are sorted again.  Neither delta nor a word is checked.
+    """
+    rows = [
+        (bottom - delta, top, tuple(sorted(chains + ((delta,),)))) if delta < bottom and delta < height else None,
+        (bottom, top - delta, tuple(sorted(chains + ((height - delta,),)))) if delta < top and delta < height else None,
+    ]
+    for ci, seq in enumerate(chains):
+        others, floor, below = chains[:ci] + chains[ci + 1:], 0, 1
+        for i in range(0, len(seq), 2):
+            above, ceiling = (seq[i + 1], seq[i + 2]) if i + 1 < len(seq) else (1, height)
+            low, high = seq[i] - below * delta, seq[i] + above * delta
+            if floor < low and high < ceiling:
+                word = seq[:i] + (low, below + above, high) + seq[i + 1:]
+                rows.append((bottom, top, tuple(sorted(others + (word,)))))
+            else:
+                rows.append(None)
+            floor, below = seq[i], above
+    return rows
+
+
+def _rows(g: DecoratedGraph, delta: int | Fraction) -> list[tuple | None]:
+    return blowup_rows(g.bottom_area, g.top_area, g.height, g.chains, _check_delta(delta))
+
+
+def _graph(g: DecoratedGraph, row: tuple | None) -> DecoratedGraph | None:
+    """The child of g with this row, None for None; its new word becomes a ``Chain``."""
+    if row is not None:
+        chains = tuple(c if type(c) is Chain else Chain(c) for c in row[2])
+        return DecoratedGraph(row[0], row[1], g.height, g.genus, chains)
+
+
 def blowup_fat(g: DecoratedGraph, side: FatSide, delta: int | Fraction) -> DecoratedGraph | None:
     """Blow up at a fat vertex; None when the move would not be valid.
 
@@ -49,15 +88,7 @@ def blowup_fat(g: DecoratedGraph, side: FatSide, delta: int | Fraction) -> Decor
     height (the latter keeps the new vertex off the opposite extremum, which
     the area test alone does not guarantee on arbitrary graphs).
     """
-    delta = _check_delta(delta)
-    area = g.bottom_area if side is FatSide.BOTTOM else g.top_area
-    if not (delta < area and delta < g.height):
-        return None
-    if side is FatSide.BOTTOM:
-        bottom, top, new_vertex = g.bottom_area - delta, g.top_area, delta
-    else:
-        bottom, top, new_vertex = g.bottom_area, g.top_area - delta, g.height - delta
-    return DecoratedGraph(bottom, top, g.height, g.genus, g.chains + (Chain((new_vertex,)),))
+    return _graph(g, _rows(g, delta)[side is FatSide.TOP])
 
 
 def blowup_interior(
@@ -70,21 +101,8 @@ def blowup_interior(
     Valid iff the lower endpoint stays strictly above the vertex below (or 0)
     and the upper endpoint strictly below the vertex above (or the height).
     """
-    delta = _check_delta(delta)
-    seq = g.chains[chain_index]
-    i = 2 * vertex_index
-    last = i + 1 == len(seq)
-    below = seq[i - 1] if i else 1
-    above = 1 if last else seq[i + 1]
-    low = seq[i] - below * delta
-    high = seq[i] + above * delta
-    floor = seq[i - 2] if i else 0
-    ceiling = g.height if last else seq[i + 2]
-    if not (floor < low and high < ceiling):
-        return None
-    chain = Chain(seq[:i] + (low, below + above, high) + seq[i + 1:])
-    chains = g.chains[:chain_index] + (chain,) + g.chains[chain_index + 1:]
-    return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, chains)
+    vertex = range(len(g.chains[chain_index].heights))[vertex_index]  # IndexError off the chain
+    return _graph(g, _rows(g, delta)[2 + sum(len(c.heights) for c in g.chains[:chain_index]) + vertex])
 
 
 def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph]:
@@ -94,7 +112,4 @@ def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph
     The list may contain pairwise-equivalent graphs; deduplication is the
     caller's business.
     """
-    blown = [blowup_fat(g, FatSide.BOTTOM, delta), blowup_fat(g, FatSide.TOP, delta)]
-    for ci, chain in enumerate(g.chains):
-        blown.extend(blowup_interior(g, ci, vi, delta) for vi in range(len(chain.heights)))
-    return [b for b in blown if b is not None]
+    return [_graph(g, row) for row in _rows(g, delta) if row is not None]

@@ -48,7 +48,9 @@ least paths.  So each class is listed at its least (n, shape position):
 Every height and area is an integer combination of lambda_f/2, lambda_b and
 the deltas, so the run multiplies the reduced vector by ``scale = 2 * lcm``
 of its denominators, works on plain ints, and divides by the scale only for
-output; a positive scale preserves every comparison.
+output; a positive scale preserves every comparison.  It blows up the rows
+(A - a, A - b, chains), chains as plain words, with ``blowup_rows`` and
+builds no ``DecoratedGraph`` or ``Chain`` before the listing.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .blowups import all_blowups
+from .blowups import all_blowups, blowup_rows
 from .graphs import Chain, DecoratedGraph, class_key, sort_key_of
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
@@ -178,8 +180,8 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
         start = low // half + 1
         return range(start + (start - parity) % 2, -(-high // half), 2)
 
-    def flipped(chains: tuple[Chain, ...]) -> tuple[tuple, ...]:
-        return tuple(sorted(c.end_key(lf) for c in chains))
+    def flipped(chains: tuple[tuple, ...]) -> tuple[tuple, ...]:
+        return tuple(sorted(Chain.end_key(c, lf) for c in chains))
 
     def classes(shapes: Iterable[tuple]) -> tuple[int, Iterable[tuple]]:
         """The stage count by Burnside, and the least-a shape of each class."""
@@ -195,20 +197,18 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
         return (size + len(fixed)) // 2, least.values()
 
     fat = total + lf
-    shapes = {(0, 0, ()): DecoratedGraph(fat, fat, lf, reduced.genus)}
+    shapes = [(0, 0, ())]
     count, least = classes(shapes)
     counts = [count]
     for delta in deltas:
-        children = {}
-        for source in shapes.values():
-            for child in all_blowups(source, delta):
-                a, b = fat - child.bottom_area, fat - child.top_area
-                if twists(a - lb, lb - b):
-                    children.setdefault((a, b, child.chains), child)
-        shapes = children
+        children = {}  # the shapes as keys, in insertion order
+        for a, b, chains in shapes:
+            for row in blowup_rows(fat - a, fat - b, lf, chains, delta):
+                if row is not None and twists(fat - row[0] - lb, lb - fat + row[1]):
+                    children[fat - row[0], fat - row[1], row[2]] = None
+        shapes = list(children)
         count, least = classes(shapes)
         counts.append(count)
-    shapes = list(shapes)  # the listing needs their order, not their graphs
     report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
 
     def listing() -> list[DecoratedGraph]:

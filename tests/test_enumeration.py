@@ -668,19 +668,24 @@ def test_enumeration_output_matches_the_golden_digests(text, bundle, count, dige
     [("1,1;1/4,1/16,1/64,1/256", 0), ("1,40;1/2,1/3,1/5", 38)],
 )
 def test_enumerate_builds_each_output_graph_once(monkeypatch, text, past):
-    # beyond the shape run, the listing, sort and conversion construct one
-    # DecoratedGraph per graph handed out, inside the window and past it
+    # the shape run builds no DecoratedGraph and no Chain; the listing, sort
+    # and conversion construct one graph per graph handed out, inside the
+    # window and past it
     v = parse_vector(text)
-    built = 0
-    post_init = DecoratedGraph.__post_init__
+    built = {DecoratedGraph: 0, Chain: 0}
+    post_init, new_chain = DecoratedGraph.__post_init__, Chain.__new__
 
-    def counting(self):
-        nonlocal built
-        built += 1
+    def counting_graph(self):
+        built[DecoratedGraph] += 1
         post_init(self)
 
-    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting)
+    def counting_chain(cls, seq):
+        built[Chain] += 1
+        return new_chain(cls, seq)
+
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_graph)
+    monkeypatch.setattr(Chain, "__new__", counting_chain)
     assert _twists_past_the_window(count_actions(v)) == past
-    shapes, built = built, 0
+    assert built == {DecoratedGraph: 0, Chain: 0}
     graphs, _ = enumerate_actions(v)
-    assert shapes > 0 and built == shapes + len(graphs)
+    assert built[DecoratedGraph] == len(graphs) and built[Chain] > 0

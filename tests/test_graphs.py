@@ -35,6 +35,7 @@ from hamcircle import (
     to_json_dict,
     validate,
 )
+from hamcircle.blowups import blowup_rows
 
 
 def graph(bottom, top, height, *chains, genus=1):
@@ -403,23 +404,25 @@ def test_canonical_json_is_the_compact_dumps_on_enumerated_graphs():
 
 
 def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
-    # the shape run builds its graphs on the integer lattice, every field an int
+    # the shape run blows up lattice rows, every field an int; each row it
+    # makes, built as a graph, is a valid lattice graph
     import hamcircle.enumeration as enumeration
 
     built = []
 
-    def recorded(g, delta):
-        children = all_blowups(g, delta)
-        built.extend(children)
-        return children
+    def recorded(bottom, top, height, chains, delta):
+        rows = blowup_rows(bottom, top, height, chains, delta)
+        built.extend(DecoratedGraph(*row[:2], height, 1, tuple(map(Chain, row[2]))) for row in rows if row)
+        return rows
 
-    monkeypatch.setattr(enumeration, "all_blowups", recorded)
+    monkeypatch.setattr(enumeration, "blowup_rows", recorded)
     for v in _seeded_runs():
         count_actions(v)
     for g in built:
         values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c)]
         assert {type(x) for x in values} == {int}
         assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
+        assert validate(g)
     assert len(built) > 500
 
 
