@@ -18,8 +18,9 @@ coincident fixed points on one chain.  An invalid site yields None rather
 than an exception, so enumeration can prune branches cheaply.
 
 The moves are written once, in ``blowup_rows``, on plain fields (areas,
-height, chain words); the shape run calls it and builds no graph, and the
-graph functions below build each child through the constructors.
+height, chain words); the shape run calls it and builds no graph, and
+``all_blowups`` is its one graph adapter, building each child through the
+constructors.
 
 Every move only adds, subtracts and multiplies by integer labels, so a graph
 and a delta given as ints give ints.
@@ -27,30 +28,19 @@ and a delta given as ints give ints.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .graphs import Chain, DecoratedGraph
 from .vectors import as_exact
 
 
-class FatSide(Enum):
-    BOTTOM = "bottom"
-    TOP = "top"
-
-
-def _check_delta(delta: int | Fraction) -> int | Fraction:
-    delta = as_exact(delta)
-    if delta <= 0:
-        raise ValueError("blowup size must be positive")
-    return delta
-
-
 def blowup_rows(bottom, top, height, chains: tuple[tuple, ...], delta) -> list[tuple | None]:
     """Every site's child row (bottom area, top area, chains), None where the move is not valid.
 
-    ``chains`` are sorted words, the sites come in ``all_blowups`` order and
-    each child's chains are sorted again.  Neither delta nor a word is checked.
+    ``chains`` are sorted words, the sites come in ``blowup_rows`` site order
+    (bottom fat, top fat, then the vertices of each chain bottom-up, so index
+    2 + offset is the interior vertex at that offset over all chains) and each
+    child's chains are sorted again.  Neither delta nor a word is checked.
     """
     rows = [
         (bottom - delta, top, tuple(sorted(chains + ((delta,),)))) if delta < bottom and delta < height else None,
@@ -70,41 +60,6 @@ def blowup_rows(bottom, top, height, chains: tuple[tuple, ...], delta) -> list[t
     return rows
 
 
-def _rows(g: DecoratedGraph, delta: int | Fraction) -> list[tuple | None]:
-    return blowup_rows(g.bottom_area, g.top_area, g.height, g.chains, _check_delta(delta))
-
-
-def _graph(g: DecoratedGraph, row: tuple | None) -> DecoratedGraph | None:
-    """The child of g with this row, None for None; its new word becomes a ``Chain``."""
-    if row is not None:
-        chains = tuple(c if type(c) is Chain else Chain(c) for c in row[2])
-        return DecoratedGraph(row[0], row[1], g.height, g.genus, chains)
-
-
-def blowup_fat(g: DecoratedGraph, side: FatSide, delta: int | Fraction) -> DecoratedGraph | None:
-    """Blow up at a fat vertex; None when the move would not be valid.
-
-    Valid iff delta is strictly below both the chosen fat area and the graph
-    height (the latter keeps the new vertex off the opposite extremum, which
-    the area test alone does not guarantee on arbitrary graphs).
-    """
-    return _graph(g, _rows(g, delta)[side is FatSide.TOP])
-
-
-def blowup_interior(
-    g: DecoratedGraph, chain_index: int, vertex_index: int, delta: int | Fraction
-) -> DecoratedGraph | None:
-    """Blow up at an interior fixed point; None when the move would not be valid.
-
-    The vertex at height h with labels m below and n above is replaced by
-    vertices at h - m*delta and h + n*delta joined by an edge labeled m + n.
-    Valid iff the lower endpoint stays strictly above the vertex below (or 0)
-    and the upper endpoint strictly below the vertex above (or the height).
-    """
-    vertex = range(len(g.chains[chain_index].heights))[vertex_index]  # IndexError off the chain
-    return _graph(g, _rows(g, delta)[2 + sum(len(c.heights) for c in g.chains[:chain_index]) + vertex])
-
-
 def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph]:
     """Every valid single blowup of size delta, in deterministic site order:
     bottom fat, top fat, then the vertices of each chain bottom-up.
@@ -112,4 +67,10 @@ def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph
     The list may contain pairwise-equivalent graphs; deduplication is the
     caller's business.
     """
-    return [_graph(g, row) for row in _rows(g, delta) if row is not None]
+    delta = as_exact(delta)
+    if delta <= 0:
+        raise ValueError("blowup size must be positive")
+    return [
+        DecoratedGraph(bottom, top, g.height, g.genus, tuple(c if type(c) is Chain else Chain(c) for c in chains))
+        for bottom, top, chains in filter(None, blowup_rows(g.bottom_area, g.top_area, g.height, g.chains, delta))
+    ]

@@ -33,7 +33,7 @@ So by Burnside's lemma a stage count is (|X| + |Fix|) / 2:
   a - b = p*lambda_f mod 2*lambda_f; as a + b < 2L, its areas are positive.
 
 List.  With the twists seeded in increasing order and the sites tried in
-``all_blowups`` order, the staged search keeps each class at its
+``blowup_rows`` site order, the staged search keeps each class at its
 lexicographically least node (n, path), since blowups commute with the
 flip; the shapes, deduplicated in that order, come in the order of their
 least paths.  So each class is listed at its least (n, shape position):
@@ -203,8 +203,9 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
     for delta in deltas:
         children = {}  # the shapes as keys, in insertion order
         for a, b, chains in shapes:
-            for row in blowup_rows(fat - a, fat - b, lf, chains, delta):
-                if row is not None and twists(fat - row[0] - lb, lb - fat + row[1]):
+            for i, row in enumerate(blowup_rows(fat - a, fat - b, lf, chains, delta)):
+                # an interior child (i > 1) has its parent's areas, and a parent with chains passed this test
+                if row is not None and (i > 1 or twists(fat - row[0] - lb, lb - fat + row[1])):
                     children[fat - row[0], fat - row[1], row[2]] = None
         shapes = list(children)
         count, least = classes(shapes)

@@ -222,9 +222,3 @@ def canonical_json(g: DecoratedGraph) -> str:
         f'{{"height":"{g.height}","genus":{g.genus},"bottom_area":"{g.bottom_area}",'
         f'"top_area":"{g.top_area}","chains":[{chains}]}}'
     )
-
-
-def graph_from_json_dict(data: dict) -> DecoratedGraph:
-    """The graph of ``to_json_dict``; values go through the constructors, so floats are refused."""
-    chains = tuple(Chain(seq) for seq in data["chains"])
-    return DecoratedGraph(data["bottom_area"], data["top_area"], data["height"], data["genus"], chains)

@@ -1,4 +1,4 @@
-"""Blowup moves on graphs: site validity, bookkeeping, flip commutation."""
+"""Blowup moves: site validity, bookkeeping, flip commutation."""
 
 from fractions import Fraction as F
 
@@ -12,16 +12,14 @@ from conftest import blown_graphs, graph_values, map_values, valid_graphs
 from hamcircle import (
     Chain,
     DecoratedGraph,
-    FatSide,
     all_blowups,
     are_equivalent,
-    blowup_fat,
-    blowup_interior,
     canonical_sort_key,
     class_key,
     flip,
     validate,
 )
+from hamcircle.blowups import blowup_rows
 
 
 def ruled(bottom, top, height, genus=1):
@@ -33,40 +31,36 @@ def with_chain(g, *seq):
     return DecoratedGraph(g.bottom_area, g.top_area, g.height, g.genus, g.chains + (chain,))
 
 
+def site(g, i, delta):
+    """The child row at site i of g: 0 bottom fat, 1 top fat, 2 + offset an interior vertex."""
+    return blowup_rows(g.bottom_area, g.top_area, g.height, g.chains, delta)[i]
+
+
 # --- fat-vertex blowups -------------------------------------------------------
 
 
 def test_fat_blowup_at_the_bottom():
-    blown = blowup_fat(ruled(1, 1, 1), FatSide.BOTTOM, F(1, 4))
-    assert blown.bottom_area == F(3, 4) and blown.top_area == 1
-    assert blown.chains == (Chain((F(1, 4),)),)
+    assert site(ruled(1, 1, 1), 0, F(1, 4)) == (F(3, 4), 1, ((F(1, 4),),))
 
 
 def test_fat_blowup_needs_room_in_the_area():
-    assert blowup_fat(ruled(2, 2, 12), FatSide.BOTTOM, 3) is None
-    assert blowup_fat(ruled(2, 2, 12), FatSide.TOP, 3) is None
+    assert site(ruled(2, 2, 12), 0, 3) is None
+    assert site(ruled(2, 2, 12), 1, 3) is None
 
 
 def test_fat_blowup_area_test_is_strict():
-    assert blowup_fat(ruled(F(11, 2), F(3, 2), 2), FatSide.TOP, F(3, 2)) is None
+    assert site(ruled(F(11, 2), F(3, 2), 2), 1, F(3, 2)) is None
 
 
 def test_fat_blowup_needs_room_below_the_height():
     # enough fat area but the new vertex would land on the other extremum
     tall = ruled(5, 5, 1)
-    assert blowup_fat(tall, FatSide.BOTTOM, 1) is None
-    assert blowup_fat(tall, FatSide.BOTTOM, 2) is None
+    assert site(tall, 0, 1) is None
+    assert site(tall, 0, 2) is None
 
 
 def test_fat_blowup_from_the_top_measures_from_the_top():
-    blown = blowup_fat(ruled(1, 1, 1), FatSide.TOP, F(1, 4))
-    assert blown.top_area == F(3, 4)
-    assert blown.chains == (Chain((F(3, 4),)),)
-
-
-def test_fat_blowup_rejects_nonpositive_sizes():
-    with pytest.raises(ValueError):
-        blowup_fat(ruled(1, 1, 1), FatSide.BOTTOM, 0)
+    assert site(ruled(1, 1, 1), 1, F(1, 4)) == (1, F(3, 4), ((F(3, 4),),))
 
 
 # --- interior blowups ----------------------------------------------------------
@@ -74,25 +68,23 @@ def test_fat_blowup_rejects_nonpositive_sizes():
 
 def test_interior_blowup_splits_the_vertex():
     g = with_chain(ruled(F(3, 4), 1, 1), "1/4")
-    blown = blowup_interior(g, 0, 0, F(1, 16))
-    assert blown.chains == (Chain((F(3, 16), 2, F(5, 16))),)
+    assert site(g, 2, F(1, 16)) == (F(3, 4), 1, ((F(3, 16), 2, F(5, 16)),))
 
 
 def test_interior_blowup_weights_by_the_labels():
     g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", 2, "5/16")
-    blown = blowup_interior(g, 0, 1, F(1, 32))
-    assert blown.chains == (Chain((F(3, 16), 2, F(1, 4), 3, F(11, 32))),)
+    assert site(g, 3, F(1, 32)) == (F(3, 4), F(15, 16), ((F(3, 16), 2, F(1, 4), 3, F(11, 32)),))
 
 
 def test_interior_blowup_must_not_reach_the_vertex_below():
     g = with_chain(ruled(F(3, 4), F(15, 16), 1), "3/16", 2, "5/16")
-    assert blowup_interior(g, 0, 1, F(1, 16)) is None
+    assert site(g, 3, F(1, 16)) is None
 
 
 def test_interior_blowup_must_not_reach_the_extrema():
     g = with_chain(ruled(F(3, 4), 1, 1), "1/4")
-    assert blowup_interior(g, 0, 0, F(1, 4)) is None  # lower endpoint would hit 0
-    assert blowup_interior(g, 0, 0, F(3, 4)) is None  # upper endpoint would hit the top
+    assert site(g, 2, F(1, 4)) is None  # lower endpoint would hit 0
+    assert site(g, 2, F(3, 4)) is None  # upper endpoint would hit the top
 
 
 # --- exhaustive site enumeration -------------------------------------------------
@@ -113,6 +105,12 @@ def test_all_blowups_counts_every_site():
 
 def test_all_blowups_can_be_empty():
     assert all_blowups(ruled(2, 2, 12), 3) == []
+
+
+def test_all_blowups_rejects_nonpositive_sizes():
+    for delta in (0, F(-1, 4)):
+        with pytest.raises(ValueError):
+            all_blowups(ruled(1, 1, 1), delta)
 
 
 # --- structural properties --------------------------------------------------------
@@ -170,11 +168,10 @@ def test_int_graphs_blow_up_like_the_same_graph_in_fractions(g, t):
     assert all(type(x) is F for x in graph_values(gq))
     assert class_key(gi) == class_key(gq)
     assert all(type(x) is int for x in _key_values(class_key(gi)))
-    for side in FatSide:
-        assert blowup_fat(gi, side, di) == blowup_fat(gq, side, dq)
-    for ci, chain in enumerate(gi.chains):
-        for vi in range(len(chain.heights)):
-            assert blowup_interior(gi, ci, vi, di) == blowup_interior(gq, ci, vi, dq)
+    rows = blowup_rows(gi.bottom_area, gi.top_area, gi.height, gi.chains, di)
+    assert rows == blowup_rows(gq.bottom_area, gq.top_area, gq.height, gq.chains, dq)
+    assert len(rows) == 2 + sum(len(c.heights) for c in gi.chains)
+    assert all(type(x) is int for row in filter(None, rows) for x in [*row[:2], *(x for c in row[2] for x in c)])
     blown = all_blowups(gi, di)
     assert blown == all_blowups(gq, dq)
     assert [class_key(b) for b in blown] == [class_key(b) for b in all_blowups(gq, dq)]
@@ -193,9 +190,9 @@ INT_GRAPH = DecoratedGraph(8, 6, 4, 1, (Chain((2,)),))
         lambda: Chain((1, 1.0, 2)),
         lambda: DecoratedGraph(0.5, 6, 4, 1),
         lambda: DecoratedGraph(8, 6, 4.0, 1),
-        lambda: blowup_fat(INT_GRAPH, FatSide.BOTTOM, 0.25),
-        lambda: blowup_fat(INT_GRAPH, FatSide.TOP, 1.0),
-        lambda: blowup_interior(INT_GRAPH, 0, 0, 0.25),
+        lambda: all_blowups(INT_GRAPH, 1.0),
+        lambda: all_blowups(DecoratedGraph(8, 6, 4, 1), 0.25),
+        lambda: all_blowups(INT_GRAPH, 100.0),  # no site is valid, the delta is still checked
         lambda: all_blowups(INT_GRAPH, 0.25),
     ],
 )

@@ -15,7 +15,6 @@ from hamcircle import (
     cremona_reduce,
     emin,
     enumerate_actions,
-    graph_from_json_dict,
     gromov_width,
     packing_number,
     to_json_dict,
@@ -396,8 +395,9 @@ def test_enumerate_json_graphs_round_trip(capsys):
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["graphs"][0]["chains"] == [["1/4"]]
-    rebuilt = graph_from_json_dict(payload["graphs"][0])
-    assert rebuilt.bottom_area == F(3, 4)
+    (g,), _ = enumerate_actions(parse_vector("1,1;1/4"))
+    assert g.bottom_area == F(3, 4)
+    assert payload["graphs"][0] == to_json_dict(g)
 
 
 def test_enumerate_empty_is_success(capsys):

@@ -31,7 +31,6 @@ from hamcircle import (
     count_actions,
     enumerate_actions,
     flip,
-    graph_from_json_dict,
     to_json_dict,
     validate,
 )
@@ -44,6 +43,12 @@ def graph(bottom, top, height, *chains, genus=1):
 
 def chain(*seq):
     return Chain(seq)
+
+
+def from_json(data):
+    """The graph of a ``to_json_dict`` object, its values through the constructors."""
+    chains = tuple(map(Chain, data["chains"]))
+    return DecoratedGraph(data["bottom_area"], data["top_area"], data["height"], data["genus"], chains)
 
 
 RULED = graph(3, 3, 3)
@@ -113,7 +118,7 @@ def test_every_graph_building_path_keeps_the_genus(genus):
     g = graph(1, 2, 1, ("1/4", 3, "1/2"), ("1/8",), genus=genus)
     built = [
         flip(g),
-        graph_from_json_dict(to_json_dict(g)),
+        from_json(to_json_dict(g)),
         *all_blowups(g, F(1, 16)),
         map_values(g, lambda x: 2 * x),
         mirror(g),
@@ -370,7 +375,7 @@ def test_json_dict_shape():
 
 @given(valid_graphs())
 def test_json_round_trip_preserves_the_graph(g):
-    back = graph_from_json_dict(to_json_dict(g))
+    back = from_json(to_json_dict(g))
     assert back == g
     assert canonical_json(back) == canonical_json(g)
 
@@ -408,16 +413,27 @@ def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
     # makes, built as a graph, is a valid lattice graph
     import hamcircle.enumeration as enumeration
 
-    built = []
+    calls, built = [], []
 
     def recorded(bottom, top, height, chains, delta):
         rows = blowup_rows(bottom, top, height, chains, delta)
+        calls.append((bottom, top, delta, rows))
         built.extend(DecoratedGraph(*row[:2], height, 1, tuple(map(Chain, row[2]))) for row in rows if row)
         return rows
 
     monkeypatch.setattr(enumeration, "blowup_rows", recorded)
     for v in _seeded_runs():
         count_actions(v)
+    # the shape run tests the twists of the fat rows only: an interior row
+    # keeps the areas, and a fat row lowers its own area by delta
+    for bottom, top, delta, rows in calls:
+        areas = [row and row[:2] for row in rows]
+        assert areas[0] in (None, (bottom - delta, top))
+        assert areas[1] in (None, (bottom, top - delta))
+        assert set(areas[2:]) <= {None, (bottom, top)}
+    valid = [[row is not None for row in rows] for *_, rows in calls]
+    # bottom fat, top fat and interior rows: 306, 306 and 304 of them
+    assert min(sum(v[0] for v in valid), sum(v[1] for v in valid), sum(sum(v[2:]) for v in valid)) > 250
     for g in built:
         values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c)]
         assert {type(x) for x in values} == {int}
@@ -470,27 +486,28 @@ JSON_GRAPH = {"height": "1", "genus": 1, "bottom_area": "1", "top_area": "1/2", 
 
 def test_json_values_go_through_the_constructors():
     with pytest.raises((TypeError, ValueError)):
-        graph_from_json_dict(
-            {"height": 1.1, "genus": 1.9, "bottom_area": "1", "top_area": 0.3, "chains": [["1/4", 2.7, 0.5]]}
-        )
-    assert graph_from_json_dict(JSON_GRAPH) == graph(1, "1/2", 1, ("1/4", 2, "1/2"))
+        DecoratedGraph("1", 0.3, 1.1, 1.9, (Chain(["1/4", 2.7, 0.5]),))
+    assert from_json(JSON_GRAPH) == graph(1, "1/2", 1, ("1/4", 2, "1/2"))
+    assert DecoratedGraph("1", "1/2", "1", 1, (Chain(["1/4", 2, "1/2"]),)) == from_json(JSON_GRAPH)
 
 
+# Each row passes one JSON value of the wrong kind to a constructor; its id
+# names the JSON field the value would come from.
 @pytest.mark.parametrize(
-    "field, value, error",
+    "make, error",
     [
-        ("height", 1.1, TypeError),
-        ("genus", 1.9, ValueError),
-        ("genus", "1", ValueError),
-        ("bottom_area", 0.5, TypeError),
-        ("top_area", 0.3, TypeError),
-        ("chains", [["1/4", 2.7, "1/2"]], TypeError),
-        ("chains", [["1/4", 2, 0.5]], TypeError),
-        ("chains", "5", TypeError),
-        ("chains", ["5"], TypeError),
-        ("chains", [{"5": 2}], TypeError),
+        pytest.param(lambda: DecoratedGraph(1, "1/2", 1.1, 1), TypeError, id="height-1.1-TypeError"),
+        pytest.param(lambda: DecoratedGraph(1, "1/2", 1, 1.9), ValueError, id="genus-1.9-ValueError"),
+        pytest.param(lambda: DecoratedGraph(1, "1/2", 1, "1"), ValueError, id="genus-1-ValueError"),
+        pytest.param(lambda: DecoratedGraph(0.5, "1/2", 1, 1), TypeError, id="bottom_area-0.5-TypeError"),
+        pytest.param(lambda: DecoratedGraph(1, 0.3, 1, 1), TypeError, id="top_area-0.3-TypeError"),
+        pytest.param(lambda: Chain(["1/4", 2.7, "1/2"]), TypeError, id="chains-value5-TypeError"),
+        pytest.param(lambda: Chain(["1/4", 2, 0.5]), TypeError, id="chains-value6-TypeError"),
+        pytest.param(lambda: DecoratedGraph(1, "1/2", 1, 1, "5"), TypeError, id="chains-5-TypeError"),
+        pytest.param(lambda: Chain("5"), TypeError, id="chains-value8-TypeError"),
+        pytest.param(lambda: Chain({"5": 2}), TypeError, id="chains-value9-TypeError"),
     ],
 )
-def test_json_refuses_floats_and_truncation(field, value, error):
+def test_json_refuses_floats_and_truncation(make, error):
     with pytest.raises(error):
-        graph_from_json_dict({**JSON_GRAPH, field: value})
+        make()
