@@ -24,10 +24,10 @@ named "approx".
 Every output is written piece by piece, never joined whole.  A
 ``--format json`` output is one object written by ``_json_text``: one key
 per line, each value compact from the C encoder, and the graphs of
-``enumerate`` one per line, each exactly its ``canonical_json`` and written
-as it is spelled.  ``to_dot`` yields the ``dot`` text the same way, one
-graph per piece.  The graphs come from ``enumerate_actions``, which builds
-each of them once.
+``enumerate`` one per line, each the ``canonical_json`` line that
+``enumerate_json`` spells straight from the lattice rows, without building a
+graph, and written as it is spelled.  ``to_dot`` yields the ``dot`` text the
+same way, one graph per piece, from the graphs of ``enumerate_actions``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .enumeration import CountReport, TooManyGraphsError, count_actions, enumerate_actions
+from .enumeration import CountReport, TooManyGraphsError, count_actions, enumerate_actions, enumerate_json
 from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
-from .graphs import DecoratedGraph, canonical_json, compact_json
+from .graphs import DecoratedGraph, compact_json
 from .vectors import (
     BlowupVector,
     BundleType,
@@ -152,16 +152,23 @@ def _report_json(report: CountReport) -> dict:
 def _json_text(payload: dict) -> Iterator[str]:
     """``payload`` as JSON with one key per line and each value compact, in pieces.
 
-    ``graphs`` holds ``DecoratedGraph``s, written one per line as their
-    canonical JSON, one piece each, so the whole text is never held at once.
-    Any indented layout would send ``json.dumps`` to its pure-Python encoder.
+    ``graphs`` holds the graphs' canonical JSON lines, written one per line,
+    one piece each, so the whole text is never held at once; no graphs is
+    ``[]``.  Any indented layout would send ``json.dumps`` to its pure-Python
+    encoder.
     """
     yield "{"
     for i, (key, value) in enumerate(payload.items()):
         yield f"{',' if i else ''}\n  {compact_json(key)}: "
-        if key == "graphs" and value:
-            for j, g in enumerate(value):
-                yield (",\n    " if j else "[\n    ") + canonical_json(g)
+        if key == "graphs":
+            lines = iter(value)
+            first = next(lines, None)
+            if first is None:
+                yield "[]"
+                continue
+            yield "[\n    " + first
+            for line in lines:
+                yield ",\n    " + line
             yield "\n  ]"
         else:
             yield compact_json(value)
@@ -268,11 +275,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs, report = enumerate_actions(args.vector)
     if args.format == "dot":
-        return _emit(to_dot(graphs), args.out)
+        return _emit(to_dot(enumerate_actions(args.vector)[0]), args.out)
+    lines, report = enumerate_json(args.vector)
     payload = _report_json(report)
-    payload["graphs"] = graphs
+    payload["graphs"] = lines
     return _emit(_json_text(payload), args.out)
 
 

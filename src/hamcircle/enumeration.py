@@ -50,7 +50,9 @@ the deltas, so the run multiplies the reduced vector by ``scale = 2 * lcm``
 of its denominators, works on plain ints, and divides by the scale only for
 output; a positive scale preserves every comparison.  It blows up the rows
 (A - a, A - b, chains), chains as plain words, with ``blowup_rows`` and
-builds no ``DecoratedGraph`` or ``Chain`` before the listing.
+builds no ``DecoratedGraph`` or ``Chain`` before the listing.  The listing
+is the sorted lattice rows; ``enumerate_actions`` builds a graph from each,
+and ``enumerate_json`` spells each as its ``canonical_json`` line.
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups, blowup_rows
-from .graphs import Chain, DecoratedGraph, class_key, sort_key_of
+from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, sort_key_of, word_json
 from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
 
-# Most graphs that one call hands out: an ``enumerate`` of 10**6 graphs takes about
-# 0.31 GB of memory and 20 s (measured with Python 3.11 on one Xeon core).  A count
-# hands out none, so nothing bounds it.
+# Most graphs that one call hands out: at 10**6 graphs ``enumerate_actions`` takes
+# about 0.31 GB of memory and 9-13 s, and the JSON of ``enumerate_json`` about
+# 0.24 GB and 4-6 s (measured with Python 3.11 on one Xeon core).  A count hands
+# out none, so nothing bounds it.
 MAX_GRAPHS = 10**6
 
 
@@ -163,11 +166,12 @@ class CountReport:
         return self.stage_counts[-1]
 
 
-def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[DecoratedGraph]]]:
+def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tuple]]]:
     """Run the stages on twist-free shapes and count each stage by Burnside over the flip.
 
-    Returns the report and a function that lists the graphs of the staged
-    search, in Fractions and in canonical order (module docstring).
+    Returns the report, the scale and a function that lists the graphs of
+    the staged search as lattice rows (bottom area, top area, sorted chain
+    words), in canonical order (module docstring).
     """
     reduced = cremona_reduce(v).vector
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
@@ -212,7 +216,7 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
         counts.append(count)
     report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
 
-    def listing() -> list[DecoratedGraph]:
+    def listing() -> list[tuple]:
         # each class at its least (n, shape position): inside the window by
         # dedup up to the flip, past it from the least-a shape of its class
         rows, seen = [], set()
@@ -226,17 +230,17 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, Callable[[], list[Decorate
         for a, b, chains in least:
             rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(total, lb - b))
         rows.sort(key=lambda row: sort_key_of(lf, *row))
-        # Back from the lattice: each value and chain is converted once and
-        # shared by every graph that holds it.
-        fraction = functools.cache(lambda x: Fraction(x, scale))
-        chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
-        height, genus = fraction(lf), reduced.genus
-        # each row is freed as soon as its graph replaces it
-        for i, (bottom, top, chains) in enumerate(rows):
-            rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
         return rows
 
-    return report, listing
+    return report, scale, listing
+
+
+def _listing(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tuple]]]:
+    """``_shape_run``, refused past ``MAX_GRAPHS`` graphs before it lists any."""
+    report, scale, listing = _shape_run(v)
+    if report.count > MAX_GRAPHS:
+        raise TooManyGraphsError(f"{report.count} graphs exceed the limit of {MAX_GRAPHS}")
+    return report, scale, listing
 
 
 def count_actions(v: BlowupVector) -> CountReport:
@@ -259,7 +263,34 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     graph is built exactly once, already in Fractions.  Past ``MAX_GRAPHS``
     graphs it raises ``TooManyGraphsError`` before it lists any.
     """
-    report, listing = _shape_run(v)
-    if report.count > MAX_GRAPHS:
-        raise TooManyGraphsError(f"{report.count} graphs exceed the limit of {MAX_GRAPHS}")
-    return listing(), report
+    report, scale, listing = _listing(v)
+    rows = listing()
+    # Back from the lattice: each value and chain is converted once and
+    # shared by every graph that holds it.
+    fraction = functools.cache(lambda x: Fraction(x, scale))
+    chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
+    height, genus = report.reduced_vector.lambda_f, report.reduced_vector.genus
+    # each row is freed as soon as its graph replaces it
+    for i, (bottom, top, chains) in enumerate(rows):
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
+    return rows, report
+
+
+def enumerate_json(v: BlowupVector) -> tuple[Iterator[str], CountReport]:
+    """Like ``enumerate_actions`` but yielding the ``canonical_json`` line of each graph.
+
+    The lines are spelled from the lattice rows, and no graph is built.  Each
+    distinct value is converted and spelled once, each distinct word is built
+    once as a ``Chain``, which validates it, and spelled once, and each
+    distinct chain list is sorted and joined once; the sort on the lattice is
+    the graph constructor's order, as a positive scale preserves every
+    comparison.  The genus is that of the validated vector.  Past
+    ``MAX_GRAPHS`` graphs it raises ``TooManyGraphsError`` before the first line.
+    """
+    report, scale, listing = _listing(v)
+    value = functools.cache(lambda x: str(Fraction(x, scale)))
+    word = functools.cache(lambda c: word_json(Chain([x if i % 2 else Fraction(x, scale) for i, x in enumerate(c)])))
+    words = functools.cache(lambda chains: ",".join(map(word, sorted(chains))))
+    height, genus = str(report.reduced_vector.lambda_f), report.reduced_vector.genus
+    lines = (GRAPH_LINE % (height, genus, value(bottom), value(top), words(chains)) for bottom, top, chains in listing())
+    return lines, report

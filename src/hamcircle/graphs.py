@@ -209,16 +209,18 @@ def to_json_dict(g: DecoratedGraph) -> dict:
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def canonical_json(g: DecoratedGraph) -> str:
-    """``compact_json(to_json_dict(g))``, spelled directly.
+# One spelling of a graph's JSON line, filled with the height, the genus, the
+# two areas and the chain words already spelled and joined by commas.  No value
+# needs escaping: the genus and the labels are ints, and every height and area
+# is an int or a ``Fraction``, which print as digits, ``-`` and ``/``.
+GRAPH_LINE = '{"height":"%s","genus":%s,"bottom_area":"%s","top_area":"%s","chains":[%s]}'
 
-    No value needs escaping: the genus and the labels are ints, and every
-    height and area is an int or a ``Fraction``, which print as digits, ``-``
-    and ``/``.
-    """
-    # each chain word with its heights quoted and its labels bare
-    chains = ",".join([('["%s"' + ',%s,"%s"' * (len(c) // 2) + "]") % c for c in g.chains])
-    return (
-        f'{{"height":"{g.height}","genus":{g.genus},"bottom_area":"{g.bottom_area}",'
-        f'"top_area":"{g.top_area}","chains":[{chains}]}}'
-    )
+
+def word_json(word: tuple) -> str:
+    """A chain word in canonical JSON: its heights quoted, its labels bare."""
+    return ('["%s"' + ',%s,"%s"' * (len(word) // 2) + "]") % word
+
+
+def canonical_json(g: DecoratedGraph) -> str:
+    """``compact_json(to_json_dict(g))``, spelled directly through ``GRAPH_LINE``."""
+    return GRAPH_LINE % (g.height, g.genus, g.bottom_area, g.top_area, ",".join(map(word_json, g.chains)))

@@ -10,6 +10,8 @@ import pytest
 
 from hamcircle import (
     BundleType,
+    Chain,
+    DecoratedGraph,
     canonical_json,
     count_actions,
     cremona_reduce,
@@ -28,12 +30,16 @@ from hamcircle.cli import (
     MAX_SCALAR_DIGITS,
     MAX_VECTOR_DIGITS,
     _crosscheck,
+    _json_text,
     format_vector,
     main,
     parse_vector,
     to_dot,
 )
 from hamcircle.enumeration import MAX_GRAPHS
+from hamcircle.graphs import compact_json
+from test_enumeration import GOLDEN, _twists_past_the_window
+from test_graphs import _seeded_runs
 
 
 def run(capsys, *argv):
@@ -482,6 +488,31 @@ def test_enumerate_unwritable_path(capsys):
     assert code == EXIT_USAGE and "cannot write" in err
 
 
+@pytest.mark.parametrize("text, past", [("1,1;1/4,1/16,1/64,1/256", 0), ("1,40;1/2,1/3,1/5", 38)])
+def test_enumerate_json_builds_no_graph_and_one_chain_per_word(monkeypatch, capsys, text, past):
+    # the JSON lines are spelled from the lattice rows: no graph is built, and
+    # each distinct word is validated once as a Chain, inside the window and past it
+    graphs, report = enumerate_actions(parse_vector(text))
+    assert _twists_past_the_window(report) == past
+    words = {c for g in graphs for c in g.chains}
+    built = {DecoratedGraph: 0, Chain: 0}
+    post_init, new_chain = DecoratedGraph.__post_init__, Chain.__new__
+
+    def counting_graph(self):
+        built[DecoratedGraph] += 1
+        post_init(self)
+
+    def counting_chain(cls, seq):
+        built[Chain] += 1
+        return new_chain(cls, seq)
+
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_graph)
+    monkeypatch.setattr(Chain, "__new__", counting_chain)
+    code, out, _ = run(capsys, "enumerate", "-v", text)
+    assert code == EXIT_OK and json.loads(out)["count"] == len(graphs)
+    assert built == {DecoratedGraph: 0, Chain: len(words)} and len(words) < len(graphs)
+
+
 def test_enumerate_json_is_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "enumerate", "-v", "1,2;1/4,1/16")
     _, out2, _ = run(capsys, "enumerate", "-v", "1,2;1/4,1/16")
@@ -665,6 +696,35 @@ def test_json_layout_keeps_the_indented_content(capsys, tmp_path, text, bundle, 
         target = tmp_path / "out.json"
         assert run(capsys, command, "-v", text, "-b", bundle, "--out", str(target)) == (EXIT_OK, "", "")
         assert target.read_bytes() == out.encode()
+
+
+def test_enumerate_json_rows_are_the_library_graphs(capsys, tmp_path):
+    # the CLI spells its lines from the lattice rows, the library builds
+    # graphs: the same bytes on every seeded run and golden vector, to
+    # stdout and to a file
+    target = tmp_path / "out.json"
+    vectors = [*_seeded_runs(), *(parse_vector(text, bundle) for text, bundle, _, _ in GOLDEN)]
+    for v in vectors:
+        argv = ("enumerate", "-v", format_vector(v), "-b", v.bundle.value, "-g", str(v.genus))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        _, rows = _layout(out)
+        assert (rows or []) == [canonical_json(g) for g in enumerate_actions(v)[0]]
+        assert run(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("graphs", [[], (), iter(()), (line for line in ())])
+def test_json_text_writes_no_graphs_as_an_empty_list(graphs):
+    # an iterator of lines cannot be tested for emptiness by its truth value
+    text = "".join(_json_text({"count": 0, "graphs": graphs}))
+    assert text == '{\n  "count": 0,\n  "graphs": ' + compact_json([]) + "\n}\n"
+    assert json.loads(text) == {"count": 0, "graphs": []}
+
+
+def test_json_text_writes_the_graph_lines_as_given():
+    lines = iter(['{"a":1}', '{"b":2}'])
+    assert "".join(_json_text({"graphs": lines})) == '{\n  "graphs": [\n    {"a":1},\n    {"b":2}\n  ]\n}\n'
 
 
 # --- parser-level behaviour --------------------------------------------------------------
