@@ -6,15 +6,11 @@ enumeration by equivariant blowups, and closed-form counts plus symplectic
 invariants (exceptional-class minima, volume, Gromov width, packing number).
 """
 
-from .blowups import all_blowups
 from .enumeration import (
     CountReport,
-    GraphStore,
     TooManyGraphsError,
-    blowup_stage,
     count_actions,
     enumerate_actions,
-    initial_graphs,
     initial_twists,
 )
 from .formulas import (
@@ -27,9 +23,7 @@ from .graphs import (
     Chain,
     DecoratedGraph,
     GraphReport,
-    are_equivalent,
     canonical_json,
-    canonical_sort_key,
     class_key,
     flip,
     to_json_dict,
@@ -79,17 +73,12 @@ __all__ = [
     "ExceptionalClass",
     "F_minus_E",
     "GraphReport",
-    "GraphStore",
     "GromovWidth",
     "NotBlowupFormError",
     "ReduceResult",
     "TooManyGraphsError",
-    "all_blowups",
-    "are_equivalent",
     "as_q",
-    "blowup_stage",
     "canonical_json",
-    "canonical_sort_key",
     "check_cone",
     "class_key",
     "count_actions",
@@ -104,7 +93,6 @@ __all__ = [
     "exceptional_areas",
     "flip",
     "gromov_width",
-    "initial_graphs",
     "initial_twists",
     "is_g_reduced",
     "max_count",

@@ -22,8 +22,8 @@ height, chain words); the shape run calls it and builds no graph, and
 ``all_blowups`` is its one graph adapter, building each child through the
 constructors.
 
-Every move only adds, subtracts and multiplies by integer labels, so a graph
-and a delta given as ints give ints.
+Every move only adds, subtracts and multiplies by integer labels, so
+``blowup_rows`` given ints gives ints; a graph holds Fractions only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import Chain, DecoratedGraph
-from .vectors import as_exact
+from .vectors import as_q
 
 
 def blowup_rows(bottom, top, height, chains: tuple[tuple, ...], delta) -> list[tuple | None]:
@@ -67,7 +67,7 @@ def all_blowups(g: DecoratedGraph, delta: int | Fraction) -> list[DecoratedGraph
     The list may contain pairwise-equivalent graphs; deduplication is the
     caller's business.
     """
-    delta = as_exact(delta)
+    delta = as_q(delta)
     if delta <= 0:
         raise ValueError("blowup size must be positive")
     return [

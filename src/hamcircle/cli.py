@@ -13,10 +13,11 @@ Subcommands::
     hamcircle invariants -v "2,1;1"                   volume, width, packing, minimal classes
 
 Exit codes: 0 success, 1 the vector does not encode a blowup form (or was
-rejected under --no-reduce), 2 usage or I/O error, input beyond
-MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or an ``enumerate`` of more graphs
-than enumeration.MAX_GRAPHS, 3 internal consistency failure between the
-enumerator and a closed-form count.  ``count`` takes any lambda_b.
+rejected under --no-reduce), 2 usage or I/O error (a reader that closed
+stdout included), input beyond MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or an
+``enumerate`` of more graphs than enumeration.MAX_GRAPHS, 3 internal
+consistency failure between the enumerator and a closed-form count.
+``count`` takes any lambda_b.
 
 All numeric output is exact; decimal approximations appear only in fields
 named "approx".
@@ -33,6 +34,7 @@ same way, one graph per piece, from the graphs of ``enumerate_actions``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -387,12 +389,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except NotBlowupFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except TooManyGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError as exc:
+        # the reader is gone: point stdout at devnull, so that the interpreter's
+        # last flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

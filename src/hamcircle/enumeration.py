@@ -3,13 +3,15 @@
 An action on the k-fold blowup comes from an action on the underlying ruled
 surface by k equivariant blowups of the prescribed sizes, largest first.
 ``GraphStore``, ``initial_graphs`` and ``blowup_stage`` are that staged
-search: seed the ruled-surface graph of every twist n >= 0, with fat areas
-L +- n*lambda_f/2 (L = lambda_b, n of the bundle's parity p), apply one
-blowup stage per delta, and keep the first graph inserted of each class up
-to the flip.  ``count_actions`` and ``enumerate_actions`` give its stage
-counts and its graphs without seeding a twist.  Input is brought to reduced
-form first: the count depends only on the symplectomorphism class, and the
-staged search is only correct for reduced vectors.
+search, kept here, and not exported from the package, as the reference that
+the tests compare the run against: seed the ruled-surface graph of every
+twist n >= 0, with fat areas L +- n*lambda_f/2 (L = lambda_b, n of the
+bundle's parity p), apply one blowup stage per delta, and keep the first
+graph inserted of each class up to the flip.  ``count_actions`` and
+``enumerate_actions`` give its stage counts and its graphs without seeding a
+twist.  Input is brought to reduced form first: the count depends only on
+the symplectomorphism class, and the staged search is only correct for
+reduced vectors.
 
 Shapes.  A fat blowup needs delta below the fat area and the height
 lambda_f, an interior one never looks at the fat areas, and areas only
@@ -65,7 +67,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups, blowup_rows
 from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, sort_key_of, word_json
-from .vectors import BlowupVector, BundleType, as_exact, as_q, cremona_reduce
+from .vectors import BlowupVector, BundleType, as_q, cremona_reduce
 
 # Most graphs that one call hands out: at 10**6 graphs ``enumerate_actions`` takes
 # about 0.31 GB of memory and 9-13 s, and the JSON of ``enumerate_json`` about
@@ -119,15 +121,12 @@ def initial_graphs(
     lambda_f: int | Fraction, lambda_b: int | Fraction, bundle: BundleType, genus: int
 ) -> list[DecoratedGraph]:
     """The chainless two-fat-vertex graphs of the ruled surface, one per twist n,
-    with fat areas lambda_b +- (n/2)*lambda_f.
-
-    The areas are ints when lambda_f is an even int and lambda_b an int.
-    """
-    lf, lb = as_exact(lambda_f), as_exact(lambda_b)
+    with fat areas lambda_b +- (n/2)*lambda_f."""
+    lf, lb = as_q(lambda_f), as_q(lambda_b)
     twists = initial_twists(lf, lb, bundle)
     if twists[MAX_GRAPHS:]:
         raise TooManyGraphsError(f"{(twists.stop - twists.start + 1) // 2} graphs exceed the limit of {MAX_GRAPHS}")
-    half = lf // 2 if type(lf) is int and lf % 2 == 0 else Fraction(lf, 2)
+    half = lf / 2
     return [DecoratedGraph(lb + n * half, lb - n * half, lf, genus) for n in twists]
 
 
@@ -136,7 +135,7 @@ def blowup_stage(store: GraphStore, delta: int | Fraction) -> GraphStore:
 
     Returns a fresh store; the input is untouched.
     """
-    delta = as_exact(delta)
+    delta = as_q(delta)
     if delta <= 0:
         raise ValueError("blowup size must be positive")
     return GraphStore(child for source in store for child in all_blowups(source, delta))
@@ -171,7 +170,8 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
 
     Returns the report, the scale and a function that lists the graphs of
     the staged search as lattice rows (bottom area, top area, sorted chain
-    words), in canonical order (module docstring).
+    words), in canonical order (module docstring).  Past ``MAX_GRAPHS``
+    graphs that function raises ``TooManyGraphsError`` before it builds a row.
     """
     reduced = cremona_reduce(v).vector
     values = (reduced.lambda_f, reduced.lambda_b, *reduced.deltas)
@@ -217,6 +217,8 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
     report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
 
     def listing() -> list[tuple]:
+        if report.count > MAX_GRAPHS:
+            raise TooManyGraphsError(f"{report.count} graphs exceed the limit of {MAX_GRAPHS}")
         # each class at its least (n, shape position): inside the window by
         # dedup up to the flip, past it from the least-a shape of its class
         rows, seen = [], set()
@@ -232,14 +234,6 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
         rows.sort(key=lambda row: sort_key_of(lf, *row))
         return rows
 
-    return report, scale, listing
-
-
-def _listing(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tuple]]]:
-    """``_shape_run``, refused past ``MAX_GRAPHS`` graphs before it lists any."""
-    report, scale, listing = _shape_run(v)
-    if report.count > MAX_GRAPHS:
-        raise TooManyGraphsError(f"{report.count} graphs exceed the limit of {MAX_GRAPHS}")
     return report, scale, listing
 
 
@@ -263,7 +257,7 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     graph is built exactly once, already in Fractions.  Past ``MAX_GRAPHS``
     graphs it raises ``TooManyGraphsError`` before it lists any.
     """
-    report, scale, listing = _listing(v)
+    report, scale, listing = _shape_run(v)
     rows = listing()
     # Back from the lattice: each value and chain is converted once and
     # shared by every graph that holds it.
@@ -282,15 +276,16 @@ def enumerate_json(v: BlowupVector) -> tuple[Iterator[str], CountReport]:
     The lines are spelled from the lattice rows, and no graph is built.  Each
     distinct value is converted and spelled once, each distinct word is built
     once as a ``Chain``, which validates it, and spelled once, and each
-    distinct chain list is sorted and joined once; the sort on the lattice is
-    the graph constructor's order, as a positive scale preserves every
-    comparison.  The genus is that of the validated vector.  Past
-    ``MAX_GRAPHS`` graphs it raises ``TooManyGraphsError`` before the first line.
+    distinct chain list is joined once, in the order ``blowup_rows`` sorted it
+    in; that sort on the lattice is the graph constructor's order, as a
+    positive scale preserves every comparison.  The genus is that of the
+    validated vector.  Past ``MAX_GRAPHS`` graphs it raises
+    ``TooManyGraphsError`` before the first line.
     """
-    report, scale, listing = _listing(v)
+    report, scale, listing = _shape_run(v)
     value = functools.cache(lambda x: str(Fraction(x, scale)))
     word = functools.cache(lambda c: word_json(Chain([x if i % 2 else Fraction(x, scale) for i, x in enumerate(c)])))
-    words = functools.cache(lambda chains: ",".join(map(word, sorted(chains))))
+    words = functools.cache(lambda chains: ",".join(map(word, chains)))
     height, genus = str(report.reduced_vector.lambda_f), report.reduced_vector.genus
     lines = (GRAPH_LINE % (height, genus, value(bottom), value(top), words(chains)) for bottom, top, chains in listing())
     return lines, report

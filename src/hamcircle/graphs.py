@@ -23,12 +23,10 @@ and the form of its flip, so equivalence is key equality.
 Distinct chains may contain vertices at equal heights; this really happens,
 e.g. after two half-fiber blowups from opposite fat vertices.
 
-Heights and areas are exact: a value that is already an int or a
-``Fraction`` is kept as given, anything else becomes a ``Fraction`` (a
-string, a bool, a ``Fraction`` subclass), and floats are refused; labels
-are ints.  The staged enumeration builds its graphs on an integer lattice
-and converts them to Fractions only for output, so neither pays for a
-conversion it does not need.
+Heights and areas are exact ``Fraction``s: a ``Fraction`` is kept as given,
+anything else goes through ``as_q`` (an int, a string, a bool, a
+``Fraction`` subclass), and floats are refused; labels are ints, an int kept
+as given and anything else through ``operator.index``.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .vectors import as_exact
+from .vectors import as_q
 
 
 class Chain(tuple):
@@ -57,14 +55,14 @@ class Chain(tuple):
         if len(seq) % 2 == 0:
             raise ValueError("a chain alternates vertices and edges: v0, e1, v1, ..., vm, at least one vertex")
         word = list(seq)
-        # labels that are ints and heights that are ints or Fractions are kept as given
+        # Fraction heights and int labels are kept as given
         for i, x in enumerate(word):
-            if type(x) is not int and (i % 2 or type(x) is not Fraction):
-                word[i] = operator.index(x) if i % 2 else as_exact(x)
+            if type(x) is not (int if i % 2 else Fraction):
+                word[i] = operator.index(x) if i % 2 else as_q(x)
         return tuple.__new__(cls, word)
 
     @property
-    def heights(self) -> tuple[int | Fraction, ...]:
+    def heights(self) -> tuple[Fraction, ...]:
         return self[::2]
 
     @property
@@ -83,17 +81,17 @@ class DecoratedGraph:
     The chains are stored sorted as words whatever order they are given in.
     """
 
-    bottom_area: int | Fraction
-    top_area: int | Fraction
-    height: int | Fraction
+    bottom_area: Fraction
+    top_area: Fraction
+    height: Fraction
     genus: int
     chains: tuple[Chain, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("bottom_area", "top_area", "height"):
             value = getattr(self, name)
-            if type(value) is not int and type(value) is not Fraction:
-                object.__setattr__(self, name, as_exact(value))
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, as_q(value))
         if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
             raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
         chains = tuple(sorted(self.chains))
@@ -212,7 +210,7 @@ compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # One spelling of a graph's JSON line, filled with the height, the genus, the
 # two areas and the chain words already spelled and joined by commas.  No value
 # needs escaping: the genus and the labels are ints, and every height and area
-# is an int or a ``Fraction``, which print as digits, ``-`` and ``/``.
+# is a ``Fraction``, which prints as digits, ``-`` and ``/``.
 GRAPH_LINE = '{"height":"%s","genus":%s,"bottom_area":"%s","top_area":"%s","chains":[%s]}'
 
 

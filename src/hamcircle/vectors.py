@@ -32,11 +32,6 @@ def as_q(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-def as_exact(value: int | str | Fraction) -> int | Fraction:
-    """An int as it is, anything else through ``as_q``; floats are refused outright."""
-    return value if type(value) is int else as_q(value)
-
-
 class BundleType(Enum):
     """The two S^2-bundles over a fixed base surface."""
 

@@ -22,8 +22,8 @@ from hamcircle import (
     BundleType,
     Chain,
     DecoratedGraph,
-    all_blowups,
 )
+from hamcircle.blowups import all_blowups
 
 BUNDLES = (BundleType.TRIVIAL, BundleType.NONTRIVIAL)
 

@@ -19,7 +19,6 @@ from conftest import (
 from hamcircle import (
     BlowupVector,
     BundleType,
-    are_equivalent,
     check_cone,
     count_actions,
     count_equal_sizes,
@@ -36,6 +35,7 @@ from hamcircle import (
     swap_bundle,
     volume,
 )
+from hamcircle.graphs import are_equivalent
 
 T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 

@@ -12,14 +12,12 @@ from conftest import blown_graphs, graph_values, map_values, valid_graphs
 from hamcircle import (
     Chain,
     DecoratedGraph,
-    all_blowups,
-    are_equivalent,
-    canonical_sort_key,
     class_key,
     flip,
     validate,
 )
-from hamcircle.blowups import blowup_rows
+from hamcircle.blowups import all_blowups, blowup_rows
+from hamcircle.graphs import are_equivalent, canonical_sort_key
 
 
 def ruled(bottom, top, height, genus=1):
@@ -152,31 +150,27 @@ def test_blowups_commute_with_the_flip(g, t):
 # --- the integer lattice ----------------------------------------------------------
 
 
-def _key_values(key):
-    bottom, top, height, chain_keys = key
-    return [bottom, top, height, *(x for ck in chain_keys for x in ck[0::2])]
-
-
 @given(blown_graphs(), st.fractions(min_value=F(1, 32), max_value=F(31, 32), max_denominator=32))
 @settings(max_examples=150)
 def test_int_graphs_blow_up_like_the_same_graph_in_fractions(g, t):
     delta = t * min(g.bottom_area, g.top_area, g.height)
     scale = math.lcm(delta.denominator, *(x.denominator for x in graph_values(g)))
-    gi, di = map_values(g, lambda x: int(x * scale)), int(delta * scale)
-    gq, dq = map_values(gi, F), F(di)
-    assert all(type(x) is int for x in graph_values(gi))
+    # the graph on the lattice as plain ints, its chains still sorted as a positive scale keeps the order
+    bottom, top, height, di = (int(x * scale) for x in (g.bottom_area, g.top_area, g.height, delta))
+    chains = tuple(tuple(x if i % 2 else int(x * scale) for i, x in enumerate(c)) for c in g.chains)
+    assert list(chains) == sorted(chains)
+    gq, dq = map_values(g, lambda x: x * scale), F(di)
     assert all(type(x) is F for x in graph_values(gq))
-    assert class_key(gi) == class_key(gq)
-    assert all(type(x) is int for x in _key_values(class_key(gi)))
-    rows = blowup_rows(gi.bottom_area, gi.top_area, gi.height, gi.chains, di)
+    rows = blowup_rows(bottom, top, height, chains, di)
     assert rows == blowup_rows(gq.bottom_area, gq.top_area, gq.height, gq.chains, dq)
-    assert len(rows) == 2 + sum(len(c.heights) for c in gi.chains)
+    assert len(rows) == 2 + sum(len(c.heights) for c in gq.chains)
     assert all(type(x) is int for row in filter(None, rows) for x in [*row[:2], *(x for c in row[2] for x in c)])
+    # a graph built from ints holds Fractions, and blows up as the Fraction graph does
+    gi = DecoratedGraph(bottom, top, height, g.genus, tuple(map(Chain, chains)))
+    assert gi == gq and class_key(gi) == class_key(gq)
     blown = all_blowups(gi, di)
     assert blown == all_blowups(gq, dq)
     assert [class_key(b) for b in blown] == [class_key(b) for b in all_blowups(gq, dq)]
-    assert all(type(x) is int for b in blown for x in graph_values(b))
-    assert all(type(x) is int for b in blown for x in _key_values(class_key(b)))
 
 
 INT_GRAPH = DecoratedGraph(8, 6, 4, 1, (Chain((2,)),))

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections.abc import Iterator
 from fractions import Fraction as F
 
 import pytest
 
+import hamcircle
 from hamcircle import (
     BundleType,
     Chain,
@@ -736,3 +740,57 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
+
+
+# --- a closed stdout -------------------------------------------------------------------
+
+# the directory that holds the package, for the interpreters started below
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hamcircle.__file__)))
+
+
+def cli_process(argv, stdout):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    command = [sys.executable, "-m", "hamcircle.cli", *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+
+
+def read_whole(capsys, argv):
+    """The output of ``main``, checked to be what a reader that reads everything gets."""
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    with cli_process(argv, subprocess.PIPE) as proc:
+        assert proc.communicate(timeout=120) == (out.encode(), b"")
+    assert proc.returncode == EXIT_OK
+    return out
+
+
+def assert_io_error(proc):
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EXIT_USAGE
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "-v", "1,300;1/2,1/4", "--format", fmt) for fmt in ("json", "dot")])
+def test_a_reader_that_stops_early_is_an_io_error(capsys, argv):
+    # far more output than a pipe holds, so the writer is still writing when
+    # the reader goes, as under ``| head -c 100``
+    out = read_whole(capsys, argv)
+    assert len(out) > 2**17
+    with cli_process(argv, subprocess.PIPE) as proc:
+        assert proc.stdout.read(100) == out.encode()[:100]
+        proc.stdout.close()
+        assert_io_error(proc)
+
+
+def test_a_reader_that_is_gone_before_the_first_write_is_an_io_error(capsys):
+    argv = ("reduce", "-v", "2,30;19/10,19/10,19/10,19/10")
+    assert read_whole(capsys, argv).count("\n") == 6
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    with proc:
+        assert_io_error(proc)

@@ -15,14 +15,9 @@ from hamcircle import (
     BundleType,
     Chain,
     DecoratedGraph,
-    GraphStore,
     NotBlowupFormError,
     TooManyGraphsError,
-    all_blowups,
-    are_equivalent,
-    blowup_stage,
     canonical_json,
-    canonical_sort_key,
     check_cone,
     class_key,
     count_actions,
@@ -31,14 +26,16 @@ from hamcircle import (
     cremona_reduce,
     enumerate_actions,
     flip,
-    initial_graphs,
     initial_twists,
     is_g_reduced,
     sort_deltas,
     swap_bundle,
 )
+from hamcircle.blowups import all_blowups
 from hamcircle.cli import parse_vector
+from hamcircle.enumeration import GraphStore, blowup_stage, initial_graphs
 from hamcircle.formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
+from hamcircle.graphs import are_equivalent, canonical_sort_key
 
 T, NT = BundleType.TRIVIAL, BundleType.NONTRIVIAL
 

@@ -24,8 +24,6 @@ from hamcircle import (
     BundleType,
     Chain,
     DecoratedGraph,
-    all_blowups,
-    are_equivalent,
     canonical_json,
     class_key,
     count_actions,
@@ -34,7 +32,8 @@ from hamcircle import (
     to_json_dict,
     validate,
 )
-from hamcircle.blowups import blowup_rows
+from hamcircle.blowups import all_blowups, blowup_rows
+from hamcircle.graphs import are_equivalent
 
 
 def graph(bottom, top, height, *chains, genus=1):
@@ -130,8 +129,8 @@ def test_every_graph_building_path_keeps_the_genus(genus):
 
 # --- exact values --------------------------------------------------------------
 #
-# A value that is already an int or a Fraction is kept as given; anything else
-# goes through ``as_exact``, and a label through ``operator.index``.
+# A height or an area that is already a Fraction is kept as given; anything
+# else goes through ``as_q``, and a label through ``operator.index``.
 
 
 class Q(F):
@@ -158,7 +157,7 @@ def test_constructors_refuse_floats(build):
     "value, stored",
     [
         (lambda: DecoratedGraph("3/4", 2, "1", 1).bottom_area, F(3, 4)),
-        (lambda: DecoratedGraph("3/4", 2, "1", 1).top_area, 2),
+        (lambda: DecoratedGraph("3/4", 2, "1", 1).top_area, F(2)),
         (lambda: DecoratedGraph("3/4", 2, "1", 1).height, F(1)),
         (lambda: Chain(("1/4", 2, 3)), Chain((F(1, 4), 2, 3))),
         (lambda: Chain((F(1, 4), True, F(1, 2)))[1], 1),
@@ -410,14 +409,14 @@ def test_canonical_json_is_the_compact_dumps_on_enumerated_graphs():
 
 def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
     # the shape run blows up lattice rows, every field an int; each row it
-    # makes, built as a graph, is a valid lattice graph
+    # makes, built as a graph, is a valid graph
     import hamcircle.enumeration as enumeration
 
     calls, built = [], []
 
     def recorded(bottom, top, height, chains, delta):
         rows = blowup_rows(bottom, top, height, chains, delta)
-        calls.append((bottom, top, delta, rows))
+        calls.append((bottom, top, height, delta, rows))
         built.extend(DecoratedGraph(*row[:2], height, 1, tuple(map(Chain, row[2]))) for row in rows if row)
         return rows
 
@@ -426,7 +425,7 @@ def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
         count_actions(v)
     # the shape run tests the twists of the fat rows only: an interior row
     # keeps the areas, and a fat row lowers its own area by delta
-    for bottom, top, delta, rows in calls:
+    for bottom, top, _, delta, rows in calls:
         areas = [row and row[:2] for row in rows]
         assert areas[0] in (None, (bottom - delta, top))
         assert areas[1] in (None, (bottom, top - delta))
@@ -434,9 +433,10 @@ def test_canonical_json_is_the_compact_dumps_on_lattice_graphs(monkeypatch):
     valid = [[row is not None for row in rows] for *_, rows in calls]
     # bottom fat, top fat and interior rows: 306, 306 and 304 of them
     assert min(sum(v[0] for v in valid), sum(v[1] for v in valid), sum(sum(v[2:]) for v in valid)) > 250
+    assert {type(x) for *fields, _ in calls for x in fields} == {int}
+    rows = [row for *_, rows in calls for row in rows if row]
+    assert {type(x) for bottom, top, chains in rows for x in (bottom, top, *(x for c in chains for x in c))} == {int}
     for g in built:
-        values = [g.bottom_area, g.top_area, g.height, *(x for c in g.chains for x in c)]
-        assert {type(x) for x in values} == {int}
         assert canonical_json(g) == json.dumps(to_json_dict(g), separators=(",", ":"))
         assert validate(g)
     assert len(built) > 500

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from hamcircle import BlowupVector, all_blowups, enumerate_actions
+from hamcircle import BlowupVector, enumerate_actions
+from hamcircle.blowups import all_blowups
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
