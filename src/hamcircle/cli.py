@@ -12,9 +12,9 @@ Subcommands::
     hamcircle enumerate  -v "1,1;1/4" --format dot    the decorated graphs themselves
     hamcircle invariants -v "2,1;1"                   volume, width, packing, minimal classes
 
-Exit codes: 0 success, 1 the vector does not encode a blowup form (or was
-rejected under --no-reduce), 2 usage or I/O error (a reader that closed
-stdout included), input beyond MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or an
+Exit codes: 0 success, 1 the vector does not encode a blowup form, 2 usage
+or I/O error (any failed write to stdout included, a reader that closed it
+too), input beyond MAX_SCALAR_DIGITS or MAX_VECTOR_DIGITS, or an
 ``enumerate`` of more graphs than enumeration.MAX_GRAPHS, 3 internal
 consistency failure between the enumerator and a closed-form count.
 ``count`` takes any lambda_b.
@@ -207,21 +207,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     v = args.vector
-    steps = cremona_reduce(v).steps
-    reduced = steps[-1]
+    result = cremona_reduce(v)
     if args.format == "json":
         payload = {
             "input": format_vector(v),
-            "reduced": format_vector(reduced),
-            "steps": [format_vector(s) for s in steps],
-            "iterations": len(steps) - 1,
+            "reduced": format_vector(result.vector),
+            "steps": [format_vector(s) for s in result.steps],
+            "iterations": result.iterations,
         }
         _emit(_json_text(payload), None)
     else:
         print(f"input:   {format_vector(v)}")
-        print(f"reduced: {format_vector(reduced)}")
-        print(f"iterations: {len(steps) - 1}")
-        for i, step in enumerate(steps):
+        print(f"reduced: {format_vector(result.vector)}")
+        print(f"iterations: {result.iterations}")
+        for i, step in enumerate(result.steps):
             print(f"  {i}: {format_vector(step)}")
     return EXIT_OK
 
@@ -241,9 +240,6 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
 
 def cmd_count(args: argparse.Namespace) -> int:
     v = args.vector
-    if args.no_reduce and not is_g_reduced(v):
-        print("error: vector is not g-reduced and --no-reduce was given", file=sys.stderr)
-        return EXIT_DOMAIN
     report = count_actions(v)
     formula_value: int | None = None
     formula_kind = ""
@@ -355,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count the inequivalent circle actions")
     add_common(p_count)
     p_count.add_argument("--format", choices=["text", "json"], default="text")
-    p_count.add_argument("--no-reduce", action="store_true", help="reject non-reduced input instead of reducing")
     p_count.add_argument(
         "--formula-crosscheck",
         action="store_true",
@@ -398,9 +393,10 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError as exc:
-        # the reader is gone: point stdout at devnull, so that the interpreter's
-        # last flush of what is still buffered stays quiet
+    except OSError as exc:
+        # stdout cannot be written (a reader that is gone, a full device):
+        # point it at devnull, so that the interpreter's last flush of what is
+        # still buffered stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

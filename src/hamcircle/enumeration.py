@@ -66,7 +66,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups, blowup_rows
-from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, sort_key_of, word_json
+from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, flipped_words, sort_key_of, word_json
 from .vectors import BlowupVector, BundleType, as_q, cremona_reduce
 
 # Most graphs that one call hands out: at 10**6 graphs ``enumerate_actions`` takes
@@ -184,9 +184,6 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
         start = low // half + 1
         return range(start + (start - parity) % 2, -(-high // half), 2)
 
-    def flipped(chains: tuple[tuple, ...]) -> tuple[tuple, ...]:
-        return tuple(sorted(Chain.end_key(c, lf) for c in chains))
-
     def classes(shapes: Iterable[tuple]) -> tuple[int, Iterable[tuple]]:
         """The stage count by Burnside, and the least-a shape of each class."""
         least, fixed = {}, set()
@@ -194,7 +191,7 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
             a, b, chains = shape
             key = (chains, a + b, a % lf)
             least[key] = min(least.get(key, shape), shape)
-            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped(chains):
+            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped_words(chains, lf):
                 fixed.add(key[:2])
         # each range holds twists of one parity; len overflows past sys.maxsize
         size = sum(max(0, (r.stop - r.start + 1) // 2) for r in (twists(a - lb, lb - b) for a, b, _ in least.values()))
@@ -227,7 +224,7 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
                 if a - lb < n * half < lb - b:
                     row = (lb + n * half - a, lb - n * half - b, chains)
                     if row not in seen:
-                        seen.update((row, (row[1], row[0], flipped(chains))))
+                        seen.update((row, (row[1], row[0], flipped_words(chains, lf))))
                         rows.append(row)
         for a, b, chains in least:
             rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(total, lb - b))

@@ -13,10 +13,10 @@ labels ``(v0, e1, v1, ..., vm)``, read from the bottom; its heights are
 ``chain[::2]`` and its labels ``chain[1::2]``.  Edge labels are the
 isotropy orders of the gradient spheres; the edges touching a fat vertex
 always carry label 1 and are not stored.  Chains are compared as words,
-letter by letter, either from the start (the chain itself) or from the end
-(the chain reversed, heights replaced by their distance from the top); a
-chain that is a strict prefix of another sorts first.  A graph keeps its
-chains sorted, so graph equality is node-for-node equality.  Each
+letter by letter; a chain that is a strict prefix of another sorts first.
+The flip reads each word from its end, heights replaced by their distance
+from the top; ``flipped_words`` is the one spelling of that.  A graph keeps
+its chains sorted, so graph equality is node-for-node equality.  Each
 equivalence class has one hashable key, the larger of the graph's own form
 and the form of its flip, so equivalence is key equality.
 
@@ -69,9 +69,10 @@ class Chain(tuple):
     def labels(self) -> tuple[int, ...]:
         return self[1::2]
 
-    def end_key(self, height: int | Fraction) -> tuple:
-        """The word read backwards with heights measured from the top."""
-        return tuple([x if i % 2 else height - x for i, x in enumerate(reversed(self))])
+
+def flipped_words(words: tuple[tuple, ...], height: int | Fraction) -> tuple[tuple, ...]:
+    """The sorted words of the flipped chains: each word read backwards, heights measured from the top."""
+    return tuple(sorted(tuple([x if i % 2 else height - x for i, x in enumerate(reversed(w))]) for w in words))
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,15 @@ def class_key(g: DecoratedGraph) -> tuple:
     """The same tuple for two graphs exactly when they agree up to the flip.
 
     The larger of the graph's own form (bottom area, top area, height, chain
-    words) and its flip's form (top area, bottom area, height, sorted
-    chain end keys); the flipped graph itself is never built, and its end
-    keys only when the bottom area is not above the top.
+    words) and its flip's form (top area, bottom area, height, flipped
+    words); the flipped graph itself is never built, and its words only
+    when the bottom area is not above the top.
     """
     bottom, top, height = g.bottom_area, g.top_area, g.height
     own = (bottom, top, height, g.chains)
     if bottom > top:
         return own
-    return max(own, (top, bottom, height, tuple(sorted(c.end_key(height) for c in g.chains))))
+    return max(own, (top, bottom, height, flipped_words(g.chains, height)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def flip(g: DecoratedGraph) -> DecoratedGraph:
     report = validate(g)
     if not report:
         raise ValueError("cannot flip an invalid graph: " + ", ".join(report.violations))
-    chains = tuple(Chain(c.end_key(g.height)) for c in g.chains)
+    chains = tuple(map(Chain, flipped_words(g.chains, g.height)))
     return DecoratedGraph(g.top_area, g.bottom_area, g.height, g.genus, chains)
 
 

@@ -246,11 +246,6 @@ def test_count_json_schema(capsys):
     assert payload["stage_counts"][-1] == payload["count"]
 
 
-def test_count_no_reduce_rejects_crooked_input(capsys):
-    code, _, err = run(capsys, "count", "-v", "3,3;2,2", "--no-reduce")
-    assert code == EXIT_DOMAIN and "not g-reduced" in err
-
-
 def test_count_formula_crosscheck_agrees(capsys):
     code, out, _ = run(capsys, "count", "-v", "10,2;1,1", "--formula-crosscheck")
     assert code == EXIT_OK
@@ -793,4 +788,19 @@ def test_a_reader_that_is_gone_before_the_first_write_is_an_io_error(capsys):
     finally:
         os.close(write_end)
     with proc:
+        assert_io_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose every write fails")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a few lines through ``print``: the write fails at the last flush
+        ("reduce", "-v", "2,30;19/10,19/10,19/10,19/10"),
+        # far more than a buffer holds through ``writelines``: it fails mid-write
+        ("enumerate", "-v", "1,300;1/2,1/4", "--format", "json"),
+    ],
+)
+def test_a_full_device_on_stdout_is_an_io_error(argv):
+    with open("/dev/full", "wb") as full, cli_process(argv, full) as proc:
         assert_io_error(proc)
