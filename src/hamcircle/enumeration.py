@@ -25,7 +25,8 @@ a - L < n*lambda_f/2 < L - b.
 Count.  The graphs X of the shapes over every twist of parity p, of either
 sign, are flip-closed (twist n and shape (a, b, chains) flip to twist -n and
 the flipped shape), and the staged search keeps one graph per flip class.
-So by Burnside's lemma a stage count is (|X| + |Fix|) / 2:
+So by Burnside's lemma a stage count is (|X| + |Fix|) / 2, with the twists
+counted by arithmetic on their bounds and each distinct word flipped once:
 
 - shapes with equal (chains, a + b, a mod lambda_f) give the same graphs, a
   shift of a by lambda_f being one of n by 2, and add the twists of one of
@@ -66,7 +67,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups, blowup_rows
-from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, flipped_words, sort_key_of, word_json
+from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, flipped_word, sort_key_of, word_json
 from .vectors import BlowupVector, BundleType, as_q, cremona_reduce
 
 # Most graphs that one call hands out: at 10**6 graphs ``enumerate_actions`` takes
@@ -165,6 +166,12 @@ class CountReport:
         return self.stage_counts[-1]
 
 
+def _twist_bounds(low: int, high: int, half: int, parity: int) -> tuple[int, int]:
+    """Start and stop of the twists n of parity ``parity`` with low < n*half < high, in steps of 2."""
+    start = low // half + 1
+    return start + (start - parity) % 2, -(-high // half)
+
+
 def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tuple]]]:
     """Run the stages on twist-free shapes and count each stage by Burnside over the flip.
 
@@ -181,20 +188,28 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
 
     def twists(low: int, high: int) -> range:
         """The twists n of the bundle's parity with low < n*lf/2 < high."""
-        start = low // half + 1
-        return range(start + (start - parity) % 2, -(-high // half), 2)
+        return range(*_twist_bounds(low, high, half, parity), 2)
+
+    # each word is flipped once in a run
+    flipped = functools.cache(lambda word: flipped_word(word, lf))
+
+    def flipped_chains(chains: tuple) -> tuple:
+        return tuple(sorted(map(flipped, chains)))
 
     def classes(shapes: Iterable[tuple]) -> tuple[int, Iterable[tuple]]:
         """The stage count by Burnside, and the least-a shape of each class."""
-        least, fixed = {}, set()
+        least, fixed, size = {}, set(), 0
         for shape in shapes:
             a, b, chains = shape
             key = (chains, a + b, a % lf)
-            least[key] = min(least.get(key, shape), shape)
-            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped_words(chains, lf):
+            kept = least.setdefault(key, shape)
+            if kept is shape:  # every shape of a class has as many twists
+                start, stop = _twist_bounds(a - lb, lb - b, half, parity)
+                size += max(0, (stop - start + 1) // 2)  # len of a range overflows past sys.maxsize
+            elif a < kept[0]:
+                least[key] = shape
+            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped_chains(chains):
                 fixed.add(key[:2])
-        # each range holds twists of one parity; len overflows past sys.maxsize
-        size = sum(max(0, (r.stop - r.start + 1) // 2) for r in (twists(a - lb, lb - b) for a, b, _ in least.values()))
         return (size + len(fixed)) // 2, least.values()
 
     fat = total + lf
@@ -205,9 +220,14 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
         children = {}  # the shapes as keys, in insertion order
         for a, b, chains in shapes:
             for i, row in enumerate(blowup_rows(fat - a, fat - b, lf, chains, delta)):
-                # an interior child (i > 1) has its parent's areas, and a parent with chains passed this test
-                if row is not None and (i > 1 or twists(fat - row[0] - lb, lb - fat + row[1])):
-                    children[fat - row[0], fat - row[1], row[2]] = None
+                if row is None:
+                    continue
+                # a fat child (i < 2) needs a twist; an interior child keeps a tested parent's areas
+                if i < 2:
+                    start, stop = _twist_bounds(fat - row[0] - lb, lb - fat + row[1], half, parity)
+                    if start >= stop:
+                        continue
+                children[fat - row[0], fat - row[1], row[2]] = None
         shapes = list(children)
         count, least = classes(shapes)
         counts.append(count)
@@ -224,7 +244,7 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
                 if a - lb < n * half < lb - b:
                     row = (lb + n * half - a, lb - n * half - b, chains)
                     if row not in seen:
-                        seen.update((row, (row[1], row[0], flipped_words(chains, lf))))
+                        seen.update((row, (row[1], row[0], flipped_chains(chains))))
                         rows.append(row)
         for a, b, chains in least:
             rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(total, lb - b))

@@ -15,7 +15,7 @@ isotropy orders of the gradient spheres; the edges touching a fat vertex
 always carry label 1 and are not stored.  Chains are compared as words,
 letter by letter; a chain that is a strict prefix of another sorts first.
 The flip reads each word from its end, heights replaced by their distance
-from the top; ``flipped_words`` is the one spelling of that.  A graph keeps
+from the top; ``flipped_word`` is the one spelling of that.  A graph keeps
 its chains sorted, so graph equality is node-for-node equality.  Each
 equivalence class has one hashable key, the larger of the graph's own form
 and the form of its flip, so equivalence is key equality.
@@ -70,9 +70,14 @@ class Chain(tuple):
         return self[1::2]
 
 
+def flipped_word(word: tuple, height: int | Fraction) -> tuple:
+    """The word of the flipped chain: the word read backwards, heights measured from the top."""
+    return tuple([x if i % 2 else height - x for i, x in enumerate(reversed(word))])
+
+
 def flipped_words(words: tuple[tuple, ...], height: int | Fraction) -> tuple[tuple, ...]:
-    """The sorted words of the flipped chains: each word read backwards, heights measured from the top."""
-    return tuple(sorted(tuple([x if i % 2 else height - x for i, x in enumerate(reversed(w))]) for w in words))
+    """The sorted words of the flipped chains."""
+    return tuple(sorted(flipped_word(w, height) for w in words))
 
 
 @dataclass(frozen=True)

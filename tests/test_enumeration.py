@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -33,7 +34,7 @@ from hamcircle import (
 )
 from hamcircle.blowups import all_blowups
 from hamcircle.cli import parse_vector
-from hamcircle.enumeration import GraphStore, blowup_stage, initial_graphs
+from hamcircle.enumeration import GraphStore, _twist_bounds, blowup_stage, initial_graphs
 from hamcircle.formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
 from hamcircle.graphs import are_equivalent, canonical_sort_key
 
@@ -116,6 +117,39 @@ def test_initial_twists_match_their_definition(lf, halves, rest, bundle):
     parity = 0 if bundle is T else 1
     expected = [n for n in range(parity, 2 * halves + 4, 2) if lb - n * lf / 2 > 0]
     assert list(initial_twists(lf, lb, bundle)) == expected
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 12),
+    st.sampled_from([0, 1]),
+)
+@example(-1, 10**40, 1, 1)  # about 5*10**39 twists: len() of their range overflows
+@example(0, 1, 1, 0)  # no integer strictly between 0 and 1
+@example(-3, 3, 3, 1)  # n*3 strictly inside (-3, 3) only at n = 0, of the other parity
+def test_twist_bounds_count_and_test_the_twists_without_a_range(low, high, half, parity):
+    start, stop = _twist_bounds(low, high, half, parity)
+    r = range(start, stop, 2)
+    # the shape run's count and emptiness test, by arithmetic on the bounds
+    count = (stop - start + 1) // 2 if stop > start else 0
+    assert count == max(0, (r.stop - r.start + 1) // 2)
+    assert (start < stop) == bool(r)
+    if count <= sys.maxsize:
+        assert len(r) == count
+    else:
+        with pytest.raises(OverflowError):
+            len(r)
+    # the range holds exactly the twists n of the parity with low < n*half < high
+    assert start % 2 == parity and (start - 2) * half <= low < start * half
+    if count:
+        assert r[count - 1] * half < high <= (r[count - 1] + 2) * half
+        with pytest.raises(IndexError):
+            r[count]
+    else:
+        assert start * half >= high
+    if abs(low) + abs(high) < 1000:
+        assert list(r) == [n for n in range(-1001, 1001) if n % 2 == parity and low < n * half < high]
 
 
 def test_initial_graphs_need_positive_parameters():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     blown_graphs,
     graph_pairs,
+    graph_values,
     map_values,
     mirror,
     oracle_equivalent,
@@ -33,7 +35,7 @@ from hamcircle import (
     validate,
 )
 from hamcircle.blowups import all_blowups, blowup_rows
-from hamcircle.graphs import are_equivalent
+from hamcircle.graphs import are_equivalent, flipped_word, flipped_words
 
 
 def graph(bottom, top, height, *chains, genus=1):
@@ -235,6 +237,25 @@ def _own(g):
 @given(valid_graphs())
 def test_key_is_the_larger_of_the_own_and_the_flipped_form(g):
     assert class_key(g) == max(_own(g), _own(flip(g)))
+
+
+@given(valid_graphs(), st.integers(1, 10**30))
+def test_flipped_word_flips_fraction_and_lattice_words_alike(g, factor):
+    # the lattice words of the graph: every value times a common multiple of its denominators
+    scale = factor * math.lcm(*(x.denominator for x in graph_values(g)))
+    height = int(g.height * scale)
+    lattice = tuple(tuple(int(x * scale) if i % 2 == 0 else x for i, x in enumerate(w)) for w in g.chains)
+    for words, h in ((g.chains, g.height), (lattice, height)):
+        for w in words:
+            assert flipped_word(flipped_word(w, h), h) == w
+        assert flipped_words(words, h) == tuple(sorted(flipped_word(w, h) for w in words))
+    for w, v in zip(g.chains, lattice):
+        back = tuple(x if i % 2 else F(x, scale) for i, x in enumerate(flipped_word(v, height)))
+        assert back == flipped_word(w, g.height)
+    flipped = tuple(sorted(flipped_word(w, g.height) for w in g.chains))
+    assert flipped == mirror(g).chains
+    assert flip(g).chains == flipped
+    assert class_key(g) == max(_own(g), (g.top_area, g.bottom_area, g.height, flipped))
 
 
 # --- validation ---------------------------------------------------------------
