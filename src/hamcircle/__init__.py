@@ -11,7 +11,6 @@ from .enumeration import (
     TooManyGraphsError,
     count_actions,
     enumerate_actions,
-    initial_twists,
 )
 from .formulas import (
     count_equal_sizes,
@@ -93,7 +92,6 @@ __all__ = [
     "exceptional_areas",
     "flip",
     "gromov_width",
-    "initial_twists",
     "is_g_reduced",
     "max_count",
     "max_count_conditions",

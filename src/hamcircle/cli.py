@@ -241,15 +241,11 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
 def cmd_count(args: argparse.Namespace) -> int:
     v = args.vector
     report = count_actions(v)
-    formula_value: int | None = None
-    formula_kind = ""
-    if args.formula_crosscheck:
-        formula_value, formula_kind = _crosscheck(report)
+    crosscheck = _crosscheck(report) if args.formula_crosscheck else None
     if args.format == "json":
         payload = _report_json(report)
-        if args.formula_crosscheck:
-            payload["formula_count"] = formula_value
-            payload["formula_kind"] = formula_kind
+        if crosscheck is not None:
+            payload["formula_count"], payload["formula_kind"] = crosscheck
         _emit(_json_text(payload), None)
     else:
         print(f"input: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
@@ -258,14 +254,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         print("initial twists: " + ", ".join(f"{name} {value}" for name, value in twists))
         print(f"stage counts: {list(report.stage_counts)}")
         print(f"actions: {report.count}")
-        if args.formula_crosscheck:
-            if formula_value is None:
-                print(f"crosscheck: {formula_kind}")
-            else:
-                print(f"crosscheck ({formula_kind}): {formula_value}")
-    if formula_value is not None and formula_value != report.count:
+        if crosscheck is not None:
+            value, kind = crosscheck
+            print(f"crosscheck: {kind}" if value is None else f"crosscheck ({kind}): {value}")
+    if crosscheck is not None and crosscheck[0] not in (None, report.count):
         print(
-            f"error: enumerator found {report.count} actions but the closed form gives {formula_value}",
+            f"error: enumerator found {report.count} actions but the closed form gives {crosscheck[0]}",
             file=sys.stderr,
         )
         return EXIT_BUG

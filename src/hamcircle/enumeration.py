@@ -105,26 +105,15 @@ class GraphStore:
         return iter(self._graphs.values())
 
 
-def initial_twists(lambda_f: Fraction, lambda_b: Fraction, bundle: BundleType) -> range:
-    """The range of admissible twists n for the ruled-surface graphs: even
-    0 <= n < 2*lambda_b/lambda_f on the trivial bundle, odd on the non-trivial one.
-
-    A twist is admissible exactly while the top fat area lambda_b - (n/2)*lambda_f
-    stays positive.  Count them as ``(stop - start + 1) // 2``; ``len`` overflows past sys.maxsize.
-    """
-    lf, lb = as_q(lambda_f), as_q(lambda_b)
-    if lf <= 0 or lb <= 0:
-        raise ValueError("lambda_f and lambda_b must be positive")
-    return range(0 if bundle is BundleType.TRIVIAL else 1, math.ceil(2 * lb / lf), 2)
-
-
 def initial_graphs(
     lambda_f: int | Fraction, lambda_b: int | Fraction, bundle: BundleType, genus: int
 ) -> list[DecoratedGraph]:
     """The chainless two-fat-vertex graphs of the ruled surface, one per twist n,
     with fat areas lambda_b +- (n/2)*lambda_f."""
     lf, lb = as_q(lambda_f), as_q(lambda_b)
-    twists = initial_twists(lf, lb, bundle)
+    if lf <= 0 or lb <= 0:
+        raise ValueError("lambda_f and lambda_b must be positive")
+    twists = range(0 if bundle is BundleType.TRIVIAL else 1, math.ceil(2 * lb / lf), 2)
     if twists[MAX_GRAPHS:]:
         raise TooManyGraphsError(f"{(twists.stop - twists.start + 1) // 2} graphs exceed the limit of {MAX_GRAPHS}")
     half = lf / 2
@@ -148,8 +137,10 @@ class CountReport:
 
     ``stage_counts`` has one entry per stage starting with the initial graph
     count, so its length is k + 1 and the final entry is the action count.
-    ``initial_twists`` is the range of twists of the reduced ruled surface;
-    the run seeds none of them.
+    ``initial_twists`` is the shape run's lattice range of the twists of the
+    reduced ruled surface, the n >= 0 of the bundle's parity with
+    lambda_b - n*lambda_f/2 > 0; the run seeds none of them.  Count them as
+    ``(stop - start + 1) // 2``; ``len`` overflows past sys.maxsize.
     """
 
     input_vector: BlowupVector
@@ -231,7 +222,7 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
         shapes = list(children)
         count, least = classes(shapes)
         counts.append(count)
-    report = CountReport(v, reduced, initial_twists(reduced.lambda_f, reduced.lambda_b, reduced.bundle), tuple(counts))
+    report = CountReport(v, reduced, twists(-1, lb), tuple(counts))
 
     def listing() -> list[tuple]:
         if report.count > MAX_GRAPHS:

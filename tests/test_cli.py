@@ -88,6 +88,10 @@ def test_check_reports_cone_and_reduced(capsys):
     code, out, _ = run(capsys, "check", "-v", "2,1;1,1", "-b", "trivial", "-g", "2")
     assert code == EXIT_OK
     assert "in cone: yes" in out and "g-reduced: yes" in out
+    # with fewer than two blowups there is no defect to report
+    code, out, _ = run(capsys, "check", "-v", "2,1;1")
+    assert code == EXIT_OK
+    assert "g-reduced: yes (vacuous for k <= 1)" in out
 
 
 def test_check_reports_positive_defect(capsys):

@@ -61,6 +61,11 @@ def test_count_ruled_floors_at_zero():
 def test_count_ruled_needs_positive_parameters():
     with pytest.raises(ValueError):
         count_ruled(0, 1, T)
+    # and so does the factorial bound
+    with pytest.raises(ValueError, match="positive"):
+        max_count(0, 1, 1)
+    with pytest.raises(ValueError, match="positive"):
+        max_count(1, -1, 1)
 
 
 @given(
@@ -224,6 +229,11 @@ def test_max_count_is_exact_far_past_the_float_range():
 def test_max_count_needs_a_blowup():
     with pytest.raises(ValueError):
         max_count(1, 1, 0)
+    # and so do the equal-sizes count and the sharpness conditions
+    with pytest.raises(ValueError, match="at least one blowup"):
+        count_equal_sizes(2, 1, 1, 0, T)
+    with pytest.raises(ValueError, match="at least one blowup"):
+        max_count_conditions(BlowupVector(1, 2))
 
 
 def test_conditions_hold_for_fast_decay():

@@ -270,6 +270,10 @@ def test_validate_rejects_vertex_at_the_top():
     report = validate(bad)
     assert not report.valid
     assert "chain_0_below_top" in report.violations
+    # a vertex at the bottom, and a graph of no height or of no top area
+    assert validate(graph(1, 1, 1, ("0",))).violations == ("chain_0_above_bottom",)
+    assert validate(graph(1, 1, 0)).violations == ("height_positive",)
+    assert validate(graph(1, 0, 1)).violations == ("top_area_positive",)
 
 
 def test_validate_rejects_non_increasing_heights():
@@ -281,6 +285,8 @@ def test_validate_rejects_non_increasing_heights():
 def test_validate_rejects_non_coprime_adjacent_labels():
     bad = graph(1, 1, 1, ("1/8", 2, "1/4", 2, "1/2"))
     assert any("coprime" in v for v in validate(bad).violations)
+    # a zero label passes the coprime test, as gcd(0, 1) == 1, but is no label
+    assert validate(graph(1, 1, 1, ("1/4", 0, "1/2"))).violations == ("chain_0_labels_positive",)
 
 
 def test_validate_allows_equal_heights_across_chains():

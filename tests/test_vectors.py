@@ -57,6 +57,11 @@ def test_cone_names_every_violation():
     report = check_cone(bv(1, -1, 2))
     assert "lambda_b_positive" in report.violations
     assert "delta_1_below_lambda_f" in report.violations
+    report = check_cone(bv(0, 1, -1))
+    assert report.violations == ("lambda_f_positive", "delta_1_positive", "volume_positive")
+    # a bundle outside BundleType never reaches the cone test
+    with pytest.raises(TypeError, match="BundleType"):
+        bv(1, 1, bundle="trivial")
 
 
 def test_volume_examples():
@@ -253,6 +258,8 @@ def test_swap_bundle_is_an_involution_on_reduced_vectors(v):
 
 
 def test_exceptional_areas_examples():
+    with pytest.raises(ValueError, match="indexed from 1"):
+        E(0)
     assert exceptional_areas(bv(2, 1, 1)) == {E(1): 1, F_minus_E(1): 1}
     assert exceptional_areas(bv(6, 1, 2, 1)) == {
         E(1): 2,
