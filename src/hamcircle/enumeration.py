@@ -194,13 +194,13 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
             a, b, chains = shape
             key = (chains, a + b, a % lf)
             kept = least.setdefault(key, shape)
-            if kept is shape:  # every shape of a class has as many twists
+            if kept is shape:  # every shape of a class has as many twists, and is flip-fixed or not
                 start, stop = _twist_bounds(a - lb, lb - b, half, parity)
                 size += max(0, (stop - start + 1) // 2)  # len of a range overflows past sys.maxsize
+                if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped_chains(chains):
+                    fixed.add(key[:2])
             elif a < kept[0]:
                 least[key] = shape
-            if (a - b - parity * lf) % (2 * lf) == 0 and chains == flipped_chains(chains):
-                fixed.add(key[:2])
         return (size + len(fixed)) // 2, least.values()
 
     fat = total + lf

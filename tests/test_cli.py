@@ -259,13 +259,48 @@ def test_count_formula_crosscheck_agrees(capsys):
     assert "crosscheck (ruled): 3" in out
 
 
-def test_count_crosscheck_mismatch_signals_a_bug(capsys, monkeypatch):
+# every count and enumerate is checked, with the flag or without it; OUT stands for a path
+CHECKED_INVOCATIONS = [
+    ("count",),
+    ("count", "--formula-crosscheck"),
+    ("count", "--format", "json"),
+    ("count", "--format", "json", "--formula-crosscheck"),
+    ("enumerate",),
+    ("enumerate", "--format", "dot"),
+    ("enumerate", "--out", "OUT"),
+    ("enumerate", "--format", "dot", "--out", "OUT"),
+]
+
+
+def _invocation_id(argv):
+    return "_".join(arg.lstrip("-") for arg in argv)
+
+
+def _assert_mismatch_exits_3_and_writes_nothing(capsys, tmp_path, vector, argv):
+    target = tmp_path / "out"
+    command, *flags = (str(target) if arg == "OUT" else arg for arg in argv)
+    code, out, err = run(capsys, command, "-v", vector, *flags)
+    assert code == EXIT_BUG
+    assert out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "closed form gives 99" in err
+
+
+@pytest.mark.parametrize("argv", CHECKED_INVOCATIONS, ids=_invocation_id)
+def test_count_crosscheck_mismatch_signals_a_bug(capsys, monkeypatch, tmp_path, argv):
     import hamcircle.cli as cli
 
     monkeypatch.setattr(cli, "count_equal_sizes", lambda *a, **k: 99)
-    code, _, err = run(capsys, "count", "-v", "10,2;1,1", "--formula-crosscheck")
-    assert code == EXIT_BUG
-    assert "closed form gives 99" in err
+    _assert_mismatch_exits_3_and_writes_nothing(capsys, tmp_path, "10,2;1,1", argv)
+
+
+def test_count_output_is_the_same_with_the_crosscheck_flag(capsys):
+    for text, bundle in LAYOUT_VECTORS:
+        for fmt in ("text", "json"):
+            argv = ("count", "-v", text, "-b", bundle, "--format", fmt)
+            assert run(capsys, *argv) == run(capsys, *argv, "--formula-crosscheck")
+    # the flag still parses, but the help no longer offers it
+    assert "formula-crosscheck" not in run(capsys, "count", "--help")[1]
 
 
 def test_count_crosscheck_not_applicable_is_fine(capsys):
@@ -277,6 +312,10 @@ def test_count_crosscheck_not_applicable_is_fine(capsys):
     code, out, _ = run(capsys, "count", "-v", "1,2;1/4,1/16", "-b", "nontrivial", "--formula-crosscheck")
     assert code == EXIT_OK
     assert "no closed form applies" in out
+    # without the flag the count is checked all the same
+    code, out, _ = run(capsys, "count", "-v", "1,2;1/3,1/4,1/5")
+    assert code == EXIT_OK
+    assert "crosscheck: no closed form applies" in out
 
 
 def test_count_crosscheck_max_count_agrees(capsys):
@@ -289,13 +328,12 @@ def test_count_crosscheck_max_count_agrees(capsys):
     assert (payload["count"], payload["formula_count"], payload["formula_kind"]) == (9, 9, "max_count")
 
 
-def test_count_crosscheck_max_count_mismatch_signals_a_bug(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", CHECKED_INVOCATIONS, ids=_invocation_id)
+def test_count_crosscheck_max_count_mismatch_signals_a_bug(capsys, monkeypatch, tmp_path, argv):
     import hamcircle.cli as cli
 
     monkeypatch.setattr(cli, "max_count", lambda *a, **k: 99)
-    code, _, err = run(capsys, "count", "-v", "1,2;1/4,1/16", "--formula-crosscheck")
-    assert code == EXIT_BUG
-    assert "closed form gives 99" in err
+    _assert_mismatch_exits_3_and_writes_nothing(capsys, tmp_path, "1,2;1/4,1/16", argv)
 
 
 def test_count_far_past_the_onset_is_quick(capsys):
@@ -616,6 +654,7 @@ def _indented_reference(command, v):
         graphs, report = enumerate_actions(v)
         payload = _report_payload(report)
         payload["count"] = len(graphs)
+        payload["formula_count"], payload["formula_kind"] = _crosscheck(report)
         payload["graphs"] = [to_json_dict(g) for g in graphs]
     else:
         width, reduced = gromov_width(v), cremona_reduce(v).vector
