@@ -54,8 +54,9 @@ of its denominators, works on plain ints, and divides by the scale only for
 output; a positive scale preserves every comparison.  It blows up the rows
 (A - a, A - b, chains), chains as plain words, with ``blowup_rows`` and
 builds no ``DecoratedGraph`` or ``Chain`` before the listing.  The listing
-is the sorted lattice rows; ``enumerate_actions`` builds a graph from each,
-and ``enumerate_json`` spells each as its ``canonical_json`` line.
+is the sorted lattice rows, those of a least-a shape past the window drawn
+from two integer ranges of areas; ``enumerate_actions`` builds a graph from
+each, and ``enumerate_json`` spells each as its ``canonical_json`` line.
 """
 
 from __future__ import annotations
@@ -64,16 +65,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .blowups import all_blowups, blowup_rows
-from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, flipped_word, sort_key_of, word_json
+from .graphs import GRAPH_LINE, Chain, DecoratedGraph, class_key, flipped_word, word_json
 from .vectors import BlowupVector, BundleType, as_q, cremona_reduce
 
 # Most graphs that one call hands out: at 10**6 graphs ``enumerate_actions`` takes
-# about 0.31 GB of memory and 9-13 s, and the JSON of ``enumerate_json`` about
-# 0.24 GB and 4-6 s (measured with Python 3.11 on one Xeon core).  A count hands
-# out none, so nothing bounds it.
+# about 0.30 GB of memory and 6.6-7.0 s, and the JSON of ``enumerate_json`` about
+# 0.23 GB and 2.5-2.9 s (measured with Python 3.11.7 on one Xeon core, three runs
+# each).  A count hands out none, so nothing bounds it.
 MAX_GRAPHS = 10**6
 
 
@@ -167,8 +169,10 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
     """Run the stages on twist-free shapes and count each stage by Burnside over the flip.
 
     Returns the report, the scale and a function that lists the graphs of
-    the staged search as lattice rows (bottom area, top area, sorted chain
-    words), in canonical order (module docstring).  Past ``MAX_GRAPHS``
+    the staged search as lattice rows (bottom area, top area, number of
+    chains, sorted chain words), in canonical order (module docstring).  A
+    row is ``canonical_sort_key`` without the height, which every graph of
+    the run shares, so the rows sort as they are.  Past ``MAX_GRAPHS``
     graphs that function raises ``TooManyGraphsError`` before it builds a row.
     """
     reduced = cremona_reduce(v).vector
@@ -233,13 +237,18 @@ def _shape_run(v: BlowupVector) -> tuple[CountReport, int, Callable[[], list[tup
         for n in twists(-1, min(total + 1, lb)):
             for a, b, chains in shapes:
                 if a - lb < n * half < lb - b:
-                    row = (lb + n * half - a, lb - n * half - b, chains)
+                    row = (lb + n * half - a, lb - n * half - b, len(chains), chains)
                     if row not in seen:
-                        seen.update((row, (row[1], row[0], flipped_chains(chains))))
+                        seen.update((row, (row[1], row[0], row[2], flipped_chains(chains))))
                         rows.append(row)
+        # past the window the twists step by 2, so the bottom area rises by
+        # 2*half == lf and the top area falls by as much
         for a, b, chains in least:
-            rows.extend((lb + n * half - a, lb - n * half - b, chains) for n in twists(total, lb - b))
-        rows.sort(key=lambda row: sort_key_of(lf, *row))
+            start, stop = _twist_bounds(total, lb - b, half, parity)
+            bottoms = range(lb + start * half - a, lb + stop * half - a, lf)
+            tops = range(lb - start * half - b, lb - stop * half - b, -lf)
+            rows.extend(zip(bottoms, tops, repeat(len(chains)), repeat(chains)))
+        rows.sort()
         return rows
 
     return report, scale, listing
@@ -260,21 +269,23 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     """Like ``count_actions`` but returning the graphs, in Fractions and in canonical order.
 
     The same run as ``count_actions``; only the listing grows with
-    lambda_b/lambda_f.  It sorts the lattice fields (bottom area, top area,
-    chains), as every graph shares the height and the genus, so each output
-    graph is built exactly once, already in Fractions.  Past ``MAX_GRAPHS``
-    graphs it raises ``TooManyGraphsError`` before it lists any.
+    lambda_b/lambda_f.  It sorts the lattice rows (bottom area, top area,
+    number of chains, chains), as every graph shares the height and the
+    genus, so each output graph is built exactly once, already in Fractions.
+    Past ``MAX_GRAPHS`` graphs it raises ``TooManyGraphsError`` before it
+    lists any.
     """
     report, scale, listing = _shape_run(v)
     rows = listing()
-    # Back from the lattice: each value and chain is converted once and
-    # shared by every graph that holds it.
+    # Back from the lattice: each value, chain and chain list is converted
+    # once and shared by every graph that holds it.
     fraction = functools.cache(lambda x: Fraction(x, scale))
     chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
+    chain_list = functools.cache(lambda chains: tuple(map(chain, chains)))
     height, genus = report.reduced_vector.lambda_f, report.reduced_vector.genus
     # each row is freed as soon as its graph replaces it
-    for i, (bottom, top, chains) in enumerate(rows):
-        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
+    for i, (bottom, top, _, chains) in enumerate(rows):
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, chain_list(chains))
     return rows, report
 
 
@@ -295,5 +306,5 @@ def enumerate_json(v: BlowupVector) -> tuple[Iterator[str], CountReport]:
     word = functools.cache(lambda c: word_json(Chain([x if i % 2 else Fraction(x, scale) for i, x in enumerate(c)])))
     words = functools.cache(lambda chains: ",".join(map(word, chains)))
     height, genus = str(report.reduced_vector.lambda_f), report.reduced_vector.genus
-    lines = (GRAPH_LINE % (height, genus, value(bottom), value(top), words(chains)) for bottom, top, chains in listing())
+    lines = (GRAPH_LINE % (height, genus, value(bottom), value(top), words(chains)) for bottom, top, _, chains in listing())
     return lines, report

@@ -94,15 +94,18 @@ class DecoratedGraph:
     chains: tuple[Chain, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("bottom_area", "top_area", "height"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, as_q(value))
-        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {self.genus!r}")
+        # each test takes the common case, exact types, first
+        if not (type(self.bottom_area) is type(self.top_area) is type(self.height) is Fraction):
+            for name in ("bottom_area", "top_area", "height"):
+                value = getattr(self, name)
+                if type(value) is not Fraction:
+                    object.__setattr__(self, name, as_q(value))
+        genus = self.genus
+        if (type(genus) is not int and (isinstance(genus, bool) or not isinstance(genus, int))) or genus < 1:
+            raise ValueError(f"genus must be a positive integer, got {genus!r}")
         chains = tuple(sorted(self.chains))
         for c in chains:
-            if not isinstance(c, Chain):
+            if type(c) is not Chain and not isinstance(c, Chain):
                 raise TypeError(f"a chain entry must be a Chain, not {c!r}")
         object.__setattr__(self, "chains", chains)
 
@@ -179,16 +182,9 @@ def are_equivalent(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
     return class_key(g1) == class_key(g2)
 
 
-def sort_key_of(
-    height: int | Fraction, bottom_area: int | Fraction, top_area: int | Fraction, chains: tuple[Chain, ...]
-) -> tuple:
-    """``canonical_sort_key`` of the graph with these fields, chains sorted, without building it."""
-    return (height, bottom_area, top_area, len(chains), chains)
-
-
 def canonical_sort_key(g: DecoratedGraph) -> tuple:
     """Deterministic total order on graphs, used for stable output listings."""
-    return sort_key_of(g.height, g.bottom_area, g.top_area, g.chains)
+    return (g.height, g.bottom_area, g.top_area, len(g.chains), g.chains)
 
 
 # --- canonical JSON form ---------------------------------------------------

@@ -33,7 +33,7 @@ from hamcircle import (
 )
 from hamcircle.blowups import all_blowups
 from hamcircle.cli import parse_vector
-from hamcircle.enumeration import GraphStore, _twist_bounds, blowup_stage, initial_graphs
+from hamcircle.enumeration import GraphStore, _twist_bounds, blowup_stage, enumerate_json, initial_graphs
 from hamcircle.formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
 from hamcircle.graphs import are_equivalent, canonical_sort_key
 
@@ -280,8 +280,9 @@ def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("called past the budget")
 
-    # only the listing sorts by sort_key_of
-    monkeypatch.setattr(enumeration, "sort_key_of", refuse)
+    # the shape run builds no graph: only the listing's conversion, and the
+    # seeds of initial_graphs, build one
+    monkeypatch.setattr(enumeration, "DecoratedGraph", refuse)
     with pytest.raises(AssertionError, match="called past the budget"):
         enumerate_actions(BlowupVector(1, 3))
     with pytest.raises(TooManyGraphsError):
@@ -290,7 +291,6 @@ def test_graph_bound_is_checked_before_any_output_graph_is_built(monkeypatch):
     with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
         enumerate_actions(BlowupVector(1, F(7, 2)))
     # and initial_graphs refuses before it builds a seed
-    monkeypatch.setattr(enumeration, "DecoratedGraph", refuse)
     with pytest.raises(TooManyGraphsError, match="^4 graphs exceed the limit of 3$"):
         initial_graphs(1, F(7, 2), T, 1)
 
@@ -435,6 +435,83 @@ def _seeded_window_vectors(count):
 def test_shape_run_matches_the_staged_search_on_seeded_vectors():
     for v in _seeded_window_vectors(400):
         _assert_matches_the_staged_search(v)
+
+
+def _past_window_lengths(v):
+    """The number of past-window twists that the listing gives each least-a
+    shape of the run of ``v``, read off its calls of ``_twist_bounds``."""
+    import hamcircle.enumeration as enumeration
+
+    _, _, listing = enumeration._shape_run(v)
+    lengths = []
+
+    def recording(low, high, half, parity):
+        start, stop = _twist_bounds(low, high, half, parity)
+        if low != -1:  # not the window's own twists
+            lengths.append(max(0, (stop - start + 1) // 2))
+        return start, stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_twist_bounds", recording)
+        listing()
+    return lengths
+
+
+def _seeded_wide_vectors(count):
+    """Seeded cone vectors on both bundles, k <= 2, with lambda_b/lambda_f
+    from 20 to 60, so most graphs lie past the window."""
+    rng = random.Random(26)
+    while count:
+        bundle = rng.choice([T, NT])
+        k = rng.randint(0, 2)
+        lf = F(rng.randint(1, 8), rng.randint(1, 4))
+        if rng.randrange(2):
+            deltas = (lf / 2,) * k
+        else:
+            deltas = tuple(sorted((lf * F(rng.randint(1, 15), 32) for _ in range(k)), reverse=True))
+        v = BlowupVector(lf, lf * F(rng.randint(20 * 16, 60 * 16), 16), deltas, bundle, rng.randint(1, 3))
+        if check_cone(v):
+            count -= 1
+            yield v
+
+
+def test_long_past_window_listings_match_the_staged_search():
+    # the staged-search comparisons above keep lambda_b near the window
+    # edge; here past-window twists make almost every graph, and two edge
+    # vectors give a shape with one past-window twist and one with none
+    edges = [BlowupVector(1, 2, (F(1, 2), F(1, 4)), NT), BlowupVector(1, F(9, 4), (F(1, 2), F(1, 4)), NT)]
+    for v in edges:
+        assert {0, 1} <= set(_past_window_lengths(v))
+    for v in [*_seeded_wide_vectors(40), *edges]:
+        _assert_matches_the_staged_search(v)
+        graphs, report = enumerate_actions(v)
+        lines, json_report = enumerate_json(v)
+        assert list(lines) == [canonical_json(g) for g in graphs]
+        assert json_report == report
+
+
+def test_the_shape_run_prunes_before_it_blows_up(monkeypatch):
+    # a fat child, from either fat vertex, is kept only when some twist
+    # leaves both its areas positive; a kept child costs a blowup_rows call
+    # at the next stage, so a weaker prune shows in the count
+    import hamcircle.enumeration as enumeration
+
+    calls, rows = [0], enumeration.blowup_rows
+
+    def counted(*args):
+        calls[0] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(enumeration, "blowup_rows", counted)
+    for text, bundle, expected in [
+        ("1,1/2;1/4,1/4,1/4", T, 4),
+        ("1,1/3;1/3,1/4,1/5,1/6", T, 1),
+        ("1,1/2;1/4,1/4,1/4", NT, 1),
+        ("1,1/3;1/3,1/4,1/5,1/6", NT, 1),
+    ]:
+        calls[0] = 0
+        count_actions(parse_vector(text, bundle))
+        assert calls[0] == expected, text
 
 
 def test_count_k0_matches_the_initial_graphs():
