@@ -21,7 +21,8 @@ the closed form that applies, found before anything is written.  ``count``
 takes any lambda_b.
 
 All numeric output is exact; decimal approximations appear only in fields
-named "approx".
+named "approx".  ``reduce``, ``count`` and ``invariants`` each build one
+payload and print their text from it, so the two formats cannot disagree.
 
 Every output is written piece by piece, never joined whole.  A
 ``--format json`` output is one object written by ``_json_text``: one key
@@ -38,7 +39,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .enumeration import CountReport, TooManyGraphsError, count_actions, enumerate_actions, enumerate_json
 from .formulas import count_equal_sizes, count_ruled, max_count, max_count_conditions
@@ -201,6 +202,13 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _write_payload(args: argparse.Namespace, payload: dict, text: Callable[[dict], Iterable[str]]) -> int:
+    """Write ``payload`` to stdout: as JSON under ``--format json``, else as the lines ``text`` reads from it."""
+    if args.format == "json":
+        return _emit(_json_text(payload), None)
+    return _emit((line + "\n" for line in text(payload)), None)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     v = args.vector
     report = check_cone(v)
@@ -216,24 +224,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report else EXIT_DOMAIN
 
 
+def _reduce_text(payload: dict) -> Iterator[str]:
+    yield f"input:   {payload['input']}"
+    yield f"reduced: {payload['reduced']}"
+    yield f"iterations: {payload['iterations']}"
+    for i, step in enumerate(payload["steps"]):
+        yield f"  {i}: {step}"
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
-    v = args.vector
-    result = cremona_reduce(v)
-    if args.format == "json":
-        payload = {
-            "input": format_vector(v),
-            "reduced": format_vector(result.vector),
-            "steps": [format_vector(s) for s in result.steps],
-            "iterations": result.iterations,
-        }
-        _emit(_json_text(payload), None)
-    else:
-        print(f"input:   {format_vector(v)}")
-        print(f"reduced: {format_vector(result.vector)}")
-        print(f"iterations: {result.iterations}")
-        for i, step in enumerate(result.steps):
-            print(f"  {i}: {format_vector(step)}")
-    return EXIT_OK
+    result = cremona_reduce(args.vector)
+    payload = {
+        "input": format_vector(args.vector),
+        "reduced": format_vector(result.vector),
+        "steps": [format_vector(s) for s in result.steps],
+        "iterations": result.iterations,
+    }
+    return _write_payload(args, payload, _reduce_text)
 
 
 def _crosscheck(report: CountReport) -> tuple[int | None, str]:
@@ -249,18 +256,18 @@ def _crosscheck(report: CountReport) -> tuple[int | None, str]:
     return None, "no closed form applies (unequal sizes or 2*delta > lambda_f)"
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    payload = _report_json(count_actions(args.vector))
-    if args.format == "json":
-        return _emit(_json_text(payload), None)
-    print(f"input: {payload['input']} ({payload['bundle']}, genus {payload['genus']})")
-    print(f"reduced: {payload['reduced']} (auto-reduced: {'yes' if payload['auto_reduced'] else 'no'})")
-    print("initial twists: " + ", ".join(f"{name} {value}" for name, value in payload["initial_twists"].items()))
-    print(f"stage counts: {payload['stage_counts']}")
-    print(f"actions: {payload['count']}")
+def _count_text(payload: dict) -> Iterator[str]:
+    yield f"input: {payload['input']} ({payload['bundle']}, genus {payload['genus']})"
+    yield f"reduced: {payload['reduced']} (auto-reduced: {'yes' if payload['auto_reduced'] else 'no'})"
+    yield "initial twists: " + ", ".join(f"{name} {value}" for name, value in payload["initial_twists"].items())
+    yield f"stage counts: {payload['stage_counts']}"
+    yield f"actions: {payload['count']}"
     value, kind = payload["formula_count"], payload["formula_kind"]
-    print(f"crosscheck: {kind}" if value is None else f"crosscheck ({kind}): {value}")
-    return EXIT_OK
+    yield f"crosscheck: {kind}" if value is None else f"crosscheck ({kind}): {value}"
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    return _write_payload(args, _report_json(count_actions(args.vector)), _count_text)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -274,44 +281,45 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return _emit(_json_text(payload), args.out)
 
 
+def _invariants_text(payload: dict) -> Iterator[str]:
+    yield f"vector: {payload['vector']} ({payload['bundle']}, genus {payload['genus']})"
+    yield f"volume: {payload['volume']}"
+    branch = "capped by fiber" if payload["width_capped_by_fiber"] else "volume bound"
+    yield f"gromov width^2: {payload['width_squared']} ({branch}, approx {payload['width_approx']:.6f})"
+    yield f"packing number: {payload['packing_number']}"
+    minimal = payload["emin"]
+    if minimal is None:
+        yield "E_min: none (no blowups)"
+        return
+    classes = "{" + ", ".join(minimal["classes"]) + "}"
+    notice = f" (computed on auto-reduced {minimal['vector']})" if minimal["vector"] != payload["vector"] else ""
+    yield f"E_min: {classes} (case {minimal['case']}, tail start {minimal['tail_start']}){notice}"
+
+
 def cmd_invariants(args: argparse.Namespace) -> int:
     v = args.vector
     width = gromov_width(v)
-    packing = packing_number(v)
     emin_vector = cremona_reduce(v).vector
-    emin_notice = f" (computed on auto-reduced {format_vector(emin_vector)})" if emin_vector != v else ""
     minimal = emin(emin_vector) if v.k >= 1 else None
-    if args.format == "json":
-        payload = {
-            "vector": format_vector(v),
-            "bundle": v.bundle.value,
-            "genus": v.genus,
-            "volume": str(volume(v)),
-            "width_squared": str(width.width_squared),
-            "width_capped_by_fiber": width.capped_by_fiber,
-            "width_approx": width.approx,
-            "packing_number": packing,
-            "emin": None
-            if minimal is None
-            else {
-                "classes": sorted(str(c) for c in minimal.classes),
-                "case": minimal.case.value,
-                "tail_start": minimal.tail_start,
-                "vector": format_vector(emin_vector),
-            },
-        }
-        return _emit(_json_text(payload), None)
-    print(f"vector: {format_vector(v)} ({v.bundle.value}, genus {v.genus})")
-    print(f"volume: {volume(v)}")
-    branch = "capped by fiber" if width.capped_by_fiber else "volume bound"
-    print(f"gromov width^2: {width.width_squared} ({branch}, approx {width.approx:.6f})")
-    print(f"packing number: {packing}")
-    if minimal is None:
-        print("E_min: none (no blowups)")
-    else:
-        classes = "{" + ", ".join(sorted(str(c) for c in minimal.classes)) + "}"
-        print(f"E_min: {classes} (case {minimal.case.value}, tail start {minimal.tail_start}){emin_notice}")
-    return EXIT_OK
+    payload = {
+        "vector": format_vector(v),
+        "bundle": v.bundle.value,
+        "genus": v.genus,
+        "volume": str(volume(v)),
+        "width_squared": str(width.width_squared),
+        "width_capped_by_fiber": width.capped_by_fiber,
+        "width_approx": width.approx,
+        "packing_number": packing_number(v),
+        "emin": None
+        if minimal is None
+        else {
+            "classes": sorted(str(c) for c in minimal.classes),
+            "case": minimal.case.value,
+            "tail_start": minimal.tail_start,
+            "vector": format_vector(emin_vector),
+        },
+    }
+    return _write_payload(args, payload, _invariants_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(
+        name: str, handler: Callable[[argparse.Namespace], int], summary: str, formats: tuple[str, ...] = ()
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("-v", "--vector", required=True, help='encoding vector, e.g. "3,3;2,2"')
         p.add_argument(
             "-b",
@@ -331,34 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="bundle type (default: trivial)",
         )
         p.add_argument("-g", "--genus", type=int, default=1, help="genus of the base surface (default: 1)")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_check = sub.add_parser("check", help="cone membership and reduced status")
-    add_common(p_check)
-    p_check.set_defaults(handler=cmd_check)
-
-    p_reduce = sub.add_parser("reduce", help="bring a vector to reduced normal form")
-    add_common(p_reduce)
-    p_reduce.add_argument("--format", choices=["text", "json"], default="text")
-    p_reduce.set_defaults(handler=cmd_reduce)
-
-    p_count = sub.add_parser("count", help="count the inequivalent circle actions")
-    add_common(p_count)
-    p_count.add_argument("--format", choices=["text", "json"], default="text")
+    payload_formats = ("text", "json")
+    add_command("check", cmd_check, "cone membership and reduced status")
+    add_command("reduce", cmd_reduce, "bring a vector to reduced normal form", payload_formats)
+    p_count = add_command("count", cmd_count, "count the inequivalent circle actions", payload_formats)
     # every count is checked; the flag is accepted and ignored, as the benchmark's count commands still pass it
     p_count.add_argument("--formula-crosscheck", action="store_true", help=argparse.SUPPRESS)
-    p_count.set_defaults(handler=cmd_count)
-
-    p_enum = sub.add_parser("enumerate", help="emit every inequivalent decorated graph")
-    add_common(p_enum)
-    p_enum.add_argument("--format", choices=["json", "dot"], default="json")
+    p_enum = add_command("enumerate", cmd_enumerate, "emit every inequivalent decorated graph", ("json", "dot"))
     p_enum.add_argument("--out", default=None, help="write to this path instead of stdout")
-    p_enum.set_defaults(handler=cmd_enumerate)
-
-    p_inv = sub.add_parser("invariants", help="volume, Gromov width, packing number, minimal classes")
-    add_common(p_inv)
-    p_inv.add_argument("--format", choices=["text", "json"], default="text")
-    p_inv.set_defaults(handler=cmd_invariants)
-
+    add_command("invariants", cmd_invariants, "volume, Gromov width, packing number, minimal classes", payload_formats)
     return parser
 
 

@@ -277,15 +277,14 @@ def enumerate_actions(v: BlowupVector) -> tuple[list[DecoratedGraph], CountRepor
     """
     report, scale, listing = _shape_run(v)
     rows = listing()
-    # Back from the lattice: each value, chain and chain list is converted
-    # once and shared by every graph that holds it.
+    # Back from the lattice: each value and chain is converted once and shared
+    # by every graph that holds it; each graph stores its own sorted chain list.
     fraction = functools.cache(lambda x: Fraction(x, scale))
     chain = functools.cache(lambda c: Chain([x if i % 2 else fraction(x) for i, x in enumerate(c)]))
-    chain_list = functools.cache(lambda chains: tuple(map(chain, chains)))
     height, genus = report.reduced_vector.lambda_f, report.reduced_vector.genus
     # each row is freed as soon as its graph replaces it
     for i, (bottom, top, _, chains) in enumerate(rows):
-        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, chain_list(chains))
+        rows[i] = DecoratedGraph(fraction(bottom), fraction(top), height, genus, tuple(map(chain, chains)))
     return rows, report
 
 

@@ -97,9 +97,7 @@ class DecoratedGraph:
         # each test takes the common case, exact types, first
         if not (type(self.bottom_area) is type(self.top_area) is type(self.height) is Fraction):
             for name in ("bottom_area", "top_area", "height"):
-                value = getattr(self, name)
-                if type(value) is not Fraction:
-                    object.__setattr__(self, name, as_q(value))
+                object.__setattr__(self, name, as_q(getattr(self, name)))
         genus = self.genus
         if (type(genus) is not int and (isinstance(genus, bool) or not isinstance(genus, int))) or genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")

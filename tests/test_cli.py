@@ -613,6 +613,108 @@ def test_invariants_width_beyond_the_float_range(capsys):
     assert math.isclose(json.loads(out)["width_approx"], float(F(big)))
 
 
+# --- the full text output ---------------------------------------------------------------
+
+# Every text branch of check, reduce, count and invariants, written out whole.
+TEXT_OUTPUTS = [
+    (
+        ("check", "-v", "3,3;2,2"),
+        EXIT_OK,
+        "vector: 3,3;2,2 (trivial, genus 1)\nin cone: yes\ng-reduced: no (defect 1)\n",
+    ),
+    (
+        ("check", "-v", "1,1;2"),
+        EXIT_DOMAIN,
+        "vector: 1,1;2 (trivial, genus 1)\n"
+        "in cone: no\n"
+        "violated: delta_1_below_lambda_f, volume_positive\n"
+        "g-reduced: yes (vacuous for k <= 1)\n",
+    ),
+    (
+        ("reduce", "-v", "3,3;2,2"),
+        EXIT_OK,
+        "input:   3,3;2,2\nreduced: 3,2;1,1\niterations: 1\n  0: 3,3;2,2\n  1: 3,2;1,1\n",
+    ),
+    (
+        ("reduce", "-v", "1,1"),
+        EXIT_OK,
+        "input:   1,1\nreduced: 1,1\niterations: 0\n  0: 1,1\n",
+    ),
+    (
+        ("count", "-v", "3,3;2,2"),
+        EXIT_OK,
+        "input: 3,3;2,2 (trivial, genus 1)\n"
+        "reduced: 3,2;1,1 (auto-reduced: yes)\n"
+        "initial twists: first 0, step 2, number 1\n"
+        "stage counts: [1, 1, 1]\n"
+        "actions: 1\n"
+        "crosscheck (equal sizes): 1\n",
+    ),
+    (
+        ("count", "-v", "3,7", "-b", "nontrivial"),
+        EXIT_OK,
+        "input: 3,7 (nontrivial, genus 1)\n"
+        "reduced: 3,7 (auto-reduced: no)\n"
+        "initial twists: first 1, step 2, number 2\n"
+        "stage counts: [2]\n"
+        "actions: 2\n"
+        "crosscheck (ruled): 2\n",
+    ),
+    (
+        ("count", "-v", "1,1;1/4,1/16"),
+        EXIT_OK,
+        "input: 1,1;1/4,1/16 (trivial, genus 1)\n"
+        "reduced: 1,1;1/4,1/16 (auto-reduced: no)\n"
+        "initial twists: first 0, step 2, number 1\n"
+        "stage counts: [1, 1, 3]\n"
+        "actions: 3\n"
+        "crosscheck (max_count): 3\n",
+    ),
+    (
+        ("count", "-v", "2,3;1/2,1/3", "-b", "nontrivial"),
+        EXIT_OK,
+        "input: 2,3;1/2,1/3 (nontrivial, genus 1)\n"
+        "reduced: 2,3;1/2,1/3 (auto-reduced: no)\n"
+        "initial twists: first 1, step 2, number 1\n"
+        "stage counts: [1, 2, 6]\n"
+        "actions: 6\n"
+        "crosscheck: no closed form applies (unequal sizes or 2*delta > lambda_f)\n",
+    ),
+    (
+        ("invariants", "-v", "3,3;2,2"),
+        EXIT_OK,
+        "vector: 3,3;2,2 (trivial, genus 1)\n"
+        "volume: 5\n"
+        "gromov width^2: 9 (capped by fiber, approx 3.000000)\n"
+        "packing number: 2\n"
+        "E_min: {E1, E2} (case case1a, tail start 0) (computed on auto-reduced 3,2;1,1)\n",
+    ),
+    (
+        ("invariants", "-v", "1,1"),
+        EXIT_OK,
+        "vector: 1,1 (trivial, genus 1)\n"
+        "volume: 1\n"
+        "gromov width^2: 1 (capped by fiber, approx 1.000000)\n"
+        "packing number: 2\n"
+        "E_min: none (no blowups)\n",
+    ),
+    (
+        ("invariants", "-v", "6,1;2,1"),
+        EXIT_OK,
+        "vector: 6,1;2,1 (trivial, genus 1)\n"
+        "volume: 7/2\n"
+        "gromov width^2: 7 (volume bound, approx 2.645751)\n"
+        "packing number: 1\n"
+        "E_min: {E2} (case case1a, tail start 1)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", TEXT_OUTPUTS, ids=[" ".join(argv) for argv, _, _ in TEXT_OUTPUTS])
+def test_text_output_is_pinned(capsys, argv, code, text):
+    assert run(capsys, *argv) == (code, text, "")
+
+
 # --- the JSON layout ----------------------------------------------------------------------
 #
 # Every subcommand writes one key per line with a compact value, and the graphs

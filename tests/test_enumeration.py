@@ -161,6 +161,8 @@ def test_initial_graphs_need_positive_parameters():
         initial_graphs(0, 1, T, 1)
     with pytest.raises(ValueError):
         initial_graphs(1, -2, T, 1)
+    with pytest.raises(ValueError):
+        blowup_stage(GraphStore(), 0)
 
 
 # --- stages ------------------------------------------------------------------------
